@@ -14,6 +14,7 @@ package apres_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"apres/internal/config"
@@ -325,18 +326,20 @@ func BenchmarkFig10ByJobs(b *testing.B) {
 // on memory-intensive workloads; the par{2,4,8} legs shard the per-SM loop
 // across that many worker goroutines (bit-identical results — the ratio to
 // skip is the epoch/barrier engine's wall-clock win at the paper's 15 SMs).
-// BENCH_sim.json records the headline numbers.
+// `go run ./bench -workload sim_serial` / `sim_smjobs2` is the benchmark of
+// record for the same engines at full scale (bench/reference.json).
+//
 // TestSimulatorAllocBudget guards the zero-allocation hot path: a full
 // simulation at bench scale must stay within a small fixed allocation
-// budget (BENCH_sim.json records ~3.9k for SP and ~6.1k for BFS, all from
-// one-time setup). A regression here means something on the per-cycle path
-// started allocating — including, per the tracing contract, any cost from
-// the disabled (nil) tracer. The parallel leg additionally pins the epoch
-// engine's steady-state overhead to within 1% of serial: with the engine's
-// working set (schedules, barrier buffers, injection queues) and the memory
-// system's fill mirrors pooled across runs, a parallel run's extra
-// allocations are just the engine struct, the worker channels, and the
-// goroutine spawns.
+// budget (BenchmarkSimulatorThroughput reports allocs/op: ~3.9k for SP and
+// ~6.1k for BFS, all from one-time setup). A regression here means
+// something on the per-cycle path started allocating — including, per the
+// tracing contract, any cost from the disabled (nil) tracer. The parallel
+// leg additionally pins the epoch engine's steady-state overhead to within
+// 1% of serial: with the engine's working set (schedules, barrier buffers,
+// injection queues) and the memory system's fill mirrors pooled across runs,
+// a parallel run's extra allocations are just the engine struct, the
+// barrier's park slots, and the goroutine spawns.
 func TestSimulatorAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
@@ -372,8 +375,9 @@ func TestSimulatorAllocBudget(t *testing.T) {
 
 // BenchmarkTwinThroughput measures the analytical twin's steady-state query
 // latency on the same workloads and scale as BenchmarkSimulatorThroughput —
-// the ratio of the two is the fast path's serving win (BENCH_twin.json
-// records the headline numbers next to the calibration's measured MAPE).
+// the ratio of the two is the fast path's serving win (`go run ./bench
+// -workload serve_mixed -trace 1` measures the twin inside the serving path;
+// bench/reference.json records it).
 // The predict legs time Model.Predict alone; the engine legs go through the
 // harness engine selector (twinServe + gpu.Result synthesis), which is what
 // apresd's serving path pays per twin-served request.
@@ -411,6 +415,45 @@ func BenchmarkTwinThroughput(b *testing.B) {
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/sec")
 		})
 	}
+}
+
+// BenchmarkAdvanceInflation is the false-sharing guard for the parallel
+// engine: how much more SM-side CPU time the two workers of a -smjobs 2 run
+// of SP/base spend when they really run side by side than when the same two
+// blocks run back to back. The serial loop's SM side cannot be timed from
+// outside the engine, so the denominator is the same engine at GOMAXPROCS 1,
+// where the coordinator's block and the worker's block take turns on one
+// processor (advance + barrier wait is then their sum); the numerator at
+// GOMAXPROCS 2 is the coordinator's block plus the worker's, which started
+// with it and ended when the barrier wait did. 1.0 means overlapping is
+// free. Per-cycle words of SMs on different workers sharing a cache line
+// push it up — and so does a host whose two threads share one core, so read
+// a high value next to TestParallelWallClock's side-by-side probe.
+func BenchmarkAdvanceInflation(b *testing.B) {
+	if runtime.NumCPU() < 2 {
+		b.Skip("needs two hardware threads for the workers to overlap")
+	}
+	w, ok := workloads.ByName("SP")
+	if !ok {
+		b.Fatal("unknown workload SP")
+	}
+	smSide := func(procs int) (adv, wait float64) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		res, err := gpu.Simulate(config.Baseline(), w.Kernel, gpu.WithParallelSMs(2))
+		if err != nil {
+			b.Fatal(err)
+		}
+		es := res.EngineStats
+		return float64(es.AdvanceNS), float64(es.BarrierWaitNS)
+	}
+	var overlapped, backToBack float64
+	for i := 0; i < b.N; i++ {
+		adv, wait := smSide(2)
+		overlapped += 2*adv + wait
+		adv, wait = smSide(1)
+		backToBack += adv + wait
+	}
+	b.ReportMetric(overlapped/backToBack, "advance-inflation")
 }
 
 func BenchmarkSimulatorThroughput(b *testing.B) {

@@ -488,8 +488,10 @@ func printResult(w workloads.Workload, cfg config.Config, res gpu.Result, elapse
 	fmt.Printf("energy      %.1f uJ dynamic (core %.0f L1 %.0f L2 %.0f dram %.0f noc %.0f apres %.0f)\n",
 		b.Dynamic()/1e6, b.Core/1e6, b.L1/1e6, b.L2/1e6, b.DRAM/1e6, b.NoC/1e6, b.APRES/1e6)
 	if es := res.EngineStats; es.Epochs > 0 {
-		fmt.Printf("engine      %d workers  %d epochs (avg %.1f cycles)  coverage %.3f of cycles\n",
-			es.SMJobs, es.Epochs, es.AvgEpochCycles(), es.Coverage(res.Cycles))
+		perEpochUS := func(ns int64) float64 { return float64(ns) / 1e3 / float64(es.Epochs) }
+		fmt.Printf("engine      %d workers  %d epochs (avg %.1f cycles)  coverage %.3f of cycles  per epoch: prepare %.1f us  advance %.1f us  barrier-wait %.1f us  drain %.1f us\n",
+			es.SMJobs, es.Epochs, es.AvgEpochCycles(), es.Coverage(res.Cycles),
+			perEpochUS(es.PrepareNS), perEpochUS(es.AdvanceNS), perEpochUS(es.BarrierWaitNS), perEpochUS(es.DrainNS))
 	}
 	if res.HitMaxCycles {
 		fmt.Println("WARNING: run stopped at MaxCycles before kernel completion")

@@ -13,7 +13,8 @@
 package dram
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"apres/internal/arch"
@@ -117,19 +118,12 @@ func (h *eventHeap) pop() event {
 func (h eventHeap) peekCycle() int64 { return h[0].cycle }
 func (h eventHeap) empty() bool      { return len(h) == 0 }
 
-// eventsByCycleSeq orders a flat event slice by (cycle, seq) — the heap's
-// pop order. A named type (rather than sort.Slice) so sorting the epoch
-// lookahead's scratch buffer does not allocate a closure per call; callers
-// pass a pointer so the interface conversion is allocation-free too.
-type eventsByCycleSeq []event
-
-func (s eventsByCycleSeq) Len() int      { return len(s) }
-func (s eventsByCycleSeq) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
-func (s eventsByCycleSeq) Less(i, j int) bool {
-	if s[i].cycle != s[j].cycle {
-		return s[i].cycle < s[j].cycle
-	}
-	return s[i].seq < s[j].seq
+// peekKey names one heap event by its pop order and its index in the heap
+// array: the window lookahead sorts these 24-byte keys instead of copies of
+// the (>100-byte) events themselves.
+type peekKey struct {
+	cycle, seq int64
+	idx        int
 }
 
 // fillRef locates one in-flight DRAM fill: its scheduled pop cycle and the
@@ -179,16 +173,10 @@ type MemSystem struct {
 	// which is what lets a worker mirror its own merges into its response
 	// schedule without touching the shared MSHRs.
 	fillLines map[arch.LineAddr]fillRef
-	// smFills[sm] is a min-heap of pop cycles of in-flight fills that have
-	// at least one waiter destined for sm (trackFills only). A cycle is
-	// pushed when sm's request creates the fill and again on each of sm's
-	// merges into it, so the head — after lazy discard of popped cycles —
-	// is the earliest fill that can still produce a response toward sm.
-	smFills [][]int64
-	// peekEvents/peekSched are scratch for PeekWindowResponses, reused
-	// across calls like the responses slice.
-	peekEvents eventsByCycleSeq
-	peekSched  []Scheduled
+	// peekKeys/peekSched are scratch for PeekWindowResponses, reused across
+	// calls like the responses slice.
+	peekKeys  []peekKey
+	peekSched []Scheduled
 	// scratch is the pooled backing for all trackFills state above, held
 	// while tracking is on and returned to fillScratchPool on TrackFills(false).
 	scratch *fillScratch
@@ -252,10 +240,6 @@ func (m *MemSystem) access(p int, req arch.MemReq, cycle int64) {
 		// Waiter recorded inside the L2 MSHR entry; it will be woken by
 		// the fill event already scheduled for this line.
 		m.st.L2Misses++
-		if m.trackFills {
-			ref := m.fillLines[req.Line]
-			m.smFills[req.SM] = pushInt64(m.smFills[req.SM], ref.cycle)
-		}
 		if m.tr != nil {
 			m.tr.Emit(trace.Event{Kind: trace.KindL2Enter, Unit: int32(p),
 				Warp: int32(req.Warp), PC: uint32(req.PC), Line: uint64(req.Line),
@@ -269,9 +253,6 @@ func (m *MemSystem) access(p int, req arch.MemReq, cycle int64) {
 		pt.nextFree = start + int64(m.cfg.DRAMServiceInterval)
 		m.st.DRAMQueueCycles += start - cycle
 		m.push(event{cycle: start + int64(m.cfg.DRAMLatency), kind: evDRAMFill, partition: p, line: req.Line})
-		if m.trackFills {
-			m.smFills[req.SM] = pushInt64(m.smFills[req.SM], start+int64(m.cfg.DRAMLatency))
-		}
 		if m.tr != nil {
 			m.tr.Emit(trace.Event{Kind: trace.KindL2Enter, Unit: int32(p),
 				Warp: int32(req.Warp), PC: uint32(req.PC), Line: uint64(req.Line),
@@ -338,16 +319,15 @@ func popInt64(h []int64) []int64 {
 	return h
 }
 
-// fillScratch is the TrackFills working set — the line map, the global and
-// per-SM cycle heaps, and the window-lookahead scratch — pooled across
+// fillScratch is the TrackFills working set — the line map, the fill-cycle
+// heap, and the window-lookahead scratch — pooled across
 // MemSystem instances so each parallel run reuses warmed capacity instead of
 // regrowing it from nil. No simulation state crosses runs: the map is
 // cleared and every slice reset to length zero on release.
 type fillScratch struct {
 	lines  map[arch.LineAddr]fillRef
-	sm     [][]int64
 	cycles []int64
-	events eventsByCycleSeq
+	keys   []peekKey
 	sched  []Scheduled
 }
 
@@ -355,36 +335,27 @@ var fillScratchPool = sync.Pool{New: func() any {
 	return &fillScratch{lines: make(map[arch.LineAddr]fillRef)}
 }}
 
-// TrackFills enables (or disables) the fill mirrors behind NextFillCycle,
-// NextFillCycleSM, and FillFor. The parallel engine turns it on at run
+// TrackFills enables (or disables) the fill mirrors behind NextFillCycle
+// and FillFor. The parallel engine turns it on at run
 // start, before any request enters the system, and off when the run ends
 // (returning the working set to the pool); the serial engine leaves it off
 // and pays nothing.
 func (m *MemSystem) TrackFills(on bool) {
 	if on && !m.trackFills {
 		fs := fillScratchPool.Get().(*fillScratch)
-		if cap(fs.sm) < m.cfg.NumSMs {
-			fs.sm = make([][]int64, m.cfg.NumSMs)
-		}
-		fs.sm = fs.sm[:m.cfg.NumSMs]
 		m.fillLines = fs.lines
-		m.smFills = fs.sm
 		m.fillCycles = fs.cycles[:0]
-		m.peekEvents = fs.events[:0]
+		m.peekKeys = fs.keys[:0]
 		m.peekSched = fs.sched[:0]
 		m.scratch = fs
 	} else if !on && m.trackFills && m.scratch != nil {
 		fs := m.scratch
 		clear(fs.lines)
-		for i := range m.smFills {
-			m.smFills[i] = m.smFills[i][:0]
-		}
-		fs.sm = m.smFills
 		fs.cycles = m.fillCycles[:0]
-		fs.events = m.peekEvents[:0]
+		fs.keys = m.peekKeys[:0]
 		fs.sched = m.peekSched[:0]
-		m.fillLines, m.smFills, m.fillCycles = nil, nil, nil
-		m.peekEvents, m.peekSched = nil, nil
+		m.fillLines, m.fillCycles = nil, nil
+		m.peekKeys, m.peekSched = nil, nil
 		m.scratch = nil
 		fillScratchPool.Put(fs)
 	}
@@ -405,24 +376,6 @@ func (m *MemSystem) NextFillCycle() int64 {
 		return -1
 	}
 	return m.fillCycles[0]
-}
-
-// NextFillCycleSM returns the earliest scheduled pop cycle among in-flight
-// DRAM fills that can still produce a response toward sm, or -1 when none
-// can. Only valid while TrackFills is on. This is the per-SM refinement of
-// NextFillCycle: a fill destined only for other SMs does not appear in sm's
-// heap, so sm's epoch planning (and tests pinning the mirror) see exactly
-// the memory events that concern it.
-func (m *MemSystem) NextFillCycleSM(sm int) int64 {
-	h := m.smFills[sm]
-	for len(h) > 0 && h[0] <= m.lastTick {
-		h = popInt64(h)
-	}
-	m.smFills[sm] = h
-	if len(h) == 0 {
-		return -1
-	}
-	return h[0]
 }
 
 // PendingRetries reports whether any partition holds MSHR-stalled requests
@@ -469,15 +422,31 @@ func (m *MemSystem) ReturnLeg() int64 { return m.returnLeg }
 // the window come only from in-window requests, whose workers mirror them.
 // The returned slice is reused across calls.
 func (m *MemSystem) PeekWindowResponses(upTo int64) []Scheduled {
-	m.peekEvents = m.peekEvents[:0]
-	for _, e := range m.events {
-		if e.cycle <= upTo {
-			m.peekEvents = append(m.peekEvents, e)
+	// Collect only the window's slice of the heap: descend from the root and
+	// prune every subtree whose root pops after upTo — heap order puts all of
+	// its descendants after upTo as well, so the pruning is exact. The key
+	// slice doubles as the breadth-first work list.
+	keys := m.peekKeys[:0]
+	visit := func(i int) {
+		if i < len(m.events) && m.events[i].cycle <= upTo {
+			keys = append(keys, peekKey{cycle: m.events[i].cycle, seq: m.events[i].seq, idx: i})
 		}
 	}
-	sort.Sort(&m.peekEvents)
+	visit(0)
+	for k := 0; k < len(keys); k++ {
+		visit(2*keys[k].idx + 1)
+		visit(2*keys[k].idx + 2)
+	}
+	slices.SortFunc(keys, func(a, b peekKey) int {
+		if a.cycle != b.cycle {
+			return cmp.Compare(a.cycle, b.cycle)
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
+	m.peekKeys = keys
 	m.peekSched = m.peekSched[:0]
-	for _, e := range m.peekEvents {
+	for _, k := range keys {
+		e := &m.events[k.idx]
 		switch e.kind {
 		case evL2Hit:
 			m.peekSched = append(m.peekSched, Scheduled{
@@ -534,8 +503,8 @@ func (m *MemSystem) Tick(cycle int64) []Response {
 			if m.trackFills {
 				delete(m.fillLines, e.line)
 				// Eagerly discharge mirror entries this pop retires, so the
-				// heaps stay bounded by fills in flight instead of growing for
-				// the whole run (NextFillCycle* still discards lazily for
+				// heap stays bounded by fills in flight instead of growing for
+				// the whole run (NextFillCycle still discards lazily for
 				// entries retired between queries).
 				for len(m.fillCycles) > 0 && m.fillCycles[0] <= e.cycle {
 					m.fillCycles = popInt64(m.fillCycles)
@@ -548,15 +517,6 @@ func (m *MemSystem) Tick(cycle int64) []Response {
 			ready := e.cycle + m.returnLeg
 			for _, w := range fill.Entry.Waiters {
 				m.responses = append(m.responses, Response{Req: w, ReadyCycle: ready})
-			}
-			if m.trackFills {
-				for _, w := range fill.Entry.Waiters {
-					h := m.smFills[w.SM]
-					for len(h) > 0 && h[0] <= e.cycle {
-						h = popInt64(h)
-					}
-					m.smFills[w.SM] = h
-				}
 			}
 			if m.tr != nil {
 				m.tr.Emit(trace.Event{Kind: trace.KindDRAMLeave, Unit: int32(e.partition),

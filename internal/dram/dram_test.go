@@ -157,3 +157,66 @@ func TestDrained(t *testing.T) {
 		t.Fatal("system should drain after responses complete")
 	}
 }
+
+// TestPeekWindowMatchesTick pins the epoch lookahead against the real thing:
+// for every window width, PeekWindowResponses must list exactly the
+// responses that ticking through the window then produces, in the same
+// order and at the same cycles — from a heap mixing L2 hits, DRAM fills and
+// merged waiters — and asking twice must change nothing.
+func TestPeekWindowMatchesTick(t *testing.T) {
+	cfg := testConfig()
+	load := func() *MemSystem {
+		var st stats.Stats
+		m := New(cfg, &st)
+		// Warm a few lines into the L2 so later requests to them hit.
+		for l := 0; l < 8; l++ {
+			m.Request(arch.MemReq{Line: arch.LineAddr(l), Kind: arch.AccessLoad}, 0)
+		}
+		warm := int64(cfg.DRAMLatency + 8*cfg.DRAMServiceInterval)
+		for c := int64(0); c <= warm; c++ {
+			m.Tick(c)
+		}
+		// Hits, misses queued behind the service interval, and merges from
+		// other SMs, issued over a spread of cycles.
+		for i := 0; i < 96; i++ {
+			c := warm + 1 + int64(i/4)
+			m.Tick(c)
+			m.Request(arch.MemReq{SM: i % 5, Warp: arch.WarpID(i), Line: arch.LineAddr(i % 40), Kind: arch.AccessLoad}, c)
+		}
+		return m
+	}
+	start := int64(cfg.DRAMLatency+8*cfg.DRAMServiceInterval) + 1 + 96/4
+	for _, width := range []int64{0, 1, 50, int64(cfg.L2Latency), int64(cfg.DRAMLatency), 4 * int64(cfg.DRAMLatency)} {
+		m := load()
+		upTo := start + width
+		peek := append([]Scheduled(nil), m.PeekWindowResponses(upTo)...)
+		again := m.PeekWindowResponses(upTo)
+		if len(again) != len(peek) {
+			t.Fatalf("width %d: second peek lists %d responses, first %d", width, len(again), len(peek))
+		}
+		var ticked []Scheduled
+		for c := start; c <= upTo; c++ {
+			for _, r := range m.Tick(c) {
+				ticked = append(ticked, Scheduled{EnqueueCycle: c, Resp: r})
+			}
+		}
+		if len(peek) != len(ticked) {
+			t.Fatalf("width %d: peek lists %d responses, ticking produced %d", width, len(peek), len(ticked))
+		}
+		for i := range peek {
+			if peek[i] != again[i] {
+				t.Fatalf("width %d: response %d differs between two peeks: %+v vs %+v", width, i, peek[i], again[i])
+			}
+			if peek[i].EnqueueCycle != ticked[i].EnqueueCycle || peek[i].Resp != ticked[i].Resp {
+				t.Fatalf("width %d: response %d: peek %+v, tick %+v", width, i, peek[i], ticked[i])
+			}
+			if i > 0 && (peek[i].EnqueueCycle < peek[i-1].EnqueueCycle ||
+				peek[i].EnqueueCycle == peek[i-1].EnqueueCycle && peek[i].Seq < peek[i-1].Seq) {
+				t.Fatalf("width %d: responses %d and %d out of (cycle, seq) order", width, i-1, i)
+			}
+		}
+		if width == 4*int64(cfg.DRAMLatency) && len(peek) != 96 {
+			t.Errorf("the widest window should see all 96 loads answered, saw %d", len(peek))
+		}
+	}
+}

@@ -8,13 +8,13 @@ import (
 )
 
 // TestEpochCoverageFloors pins the parallel engine's epoch coverage — the
-// fraction of simulated cycles executed inside worker-fanned epochs, which
-// is the Amdahl ceiling for multicore scaling — at full scale under the
-// APRES config, for the four bench workloads. Coverage is deterministic
-// (the epoch planner sees the same event sequence every run), so these
-// floors are CI-assertable even on a single-threaded host where wall-clock
-// speedup is unmeasurable. A drop below a floor means an epoch-bound
-// regression: windows are ending early somewhere they provably need not.
+// fraction of simulated cycles executed inside worker-fanned epochs — at
+// full scale under the APRES config, for the four bench workloads. Coverage
+// is deterministic (the epoch planner sees the same event sequence every
+// run), so these floors hold on any host, including a single-threaded one
+// where TestParallelWallClock, the gate that measures the actual win, has
+// to skip itself. A drop below a floor means an epoch-bound regression:
+// windows are ending early somewhere they provably need not.
 func TestEpochCoverageFloors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale runs; skipped in -short")
@@ -22,11 +22,10 @@ func TestEpochCoverageFloors(t *testing.T) {
 	cases := []struct {
 		app string
 		// floor is the pinned minimum coverage. Measured values are
-		// 0.9966-0.9999 (BENCH_sim.json): epochs now chain back to back at
-		// the full min(L2,DRAM)-latency width, so coverage is structural,
-		// not marginal — 0.95 leaves headroom for workload drift while
-		// still far exceeding the per-workload acceptance floors
-		// (NW >=0.40, KM >=0.60, BFS >=0.70, SP >=0.90).
+		// 0.9966-0.9999 (`go run ./bench -workload sim_smjobs2 -trace 1`
+		// reports gpu.epoch_coverage): epochs chain back to back at the
+		// full min(L2,DRAM)-latency width, so coverage is structural, not
+		// marginal — 0.95 leaves headroom for workload drift.
 		floor float64
 	}{
 		{"SP", 0.95},
@@ -48,17 +47,10 @@ func TestEpochCoverageFloors(t *testing.T) {
 			}
 			es := res.EngineStats
 			cov := es.Coverage(res.Cycles)
-			amdahl := 1 / ((1 - cov) + cov/4)
-			t.Logf("%s: coverage %.4f (%d epochs, avg %.1f cycles, %d/%d cycles), amdahl@4 %.2fx",
-				c.app, cov, es.Epochs, es.AvgEpochCycles(), es.EpochCycles, res.Cycles, amdahl)
+			t.Logf("%s: coverage %.4f (%d epochs, avg %.1f cycles, %d/%d cycles)",
+				c.app, cov, es.Epochs, es.AvgEpochCycles(), es.EpochCycles, res.Cycles)
 			if cov < c.floor {
 				t.Errorf("%s: epoch coverage %.4f below pinned floor %.2f", c.app, cov, c.floor)
-			}
-			// The acceptance bar for -smjobs to be a win across the board:
-			// measured coverage must support a >=2x Amdahl projection at 4
-			// workers (coverage >= 2/3) on every bench workload.
-			if amdahl < 2.0 {
-				t.Errorf("%s: coverage %.4f projects only %.2fx at 4 workers (need >=2x)", c.app, cov, amdahl)
 			}
 		})
 	}

@@ -79,23 +79,19 @@ type GPU struct {
 	noSkip           bool
 	tr               *trace.Tracer
 
+	// lanes holds each SM's cached wakeup bound and, in parallel runs, its
+	// deferred-injection port, response schedule and epoch observations
+	// (see smLaneState).
+	lanes []smLane
+
 	// Parallel-engine state (nil/zero in serial runs): smJobs is the worker
-	// count from WithParallelSMs, ports the per-SM deferred-injection
-	// buffers, parTr/parSink the per-SM local tracers feeding the barrier
-	// merge, and eng the engine while RunContext is inside runParallel.
+	// count from WithParallelSMs, parTr/parSink the per-SM local tracers
+	// feeding the barrier merge, and eng the engine while RunContext is
+	// inside runParallel.
 	smJobs  int
-	ports   []smPort
 	parTr   []*trace.Tracer
 	parSink []trace.CollectSink
 	eng     *parallelEngine
-
-	// wake caches each SM's NextWakeup bound from its last Tick. On any
-	// cycle before wake[i] with no NoC delivery, SM i provably does
-	// nothing but record one issue stall, so the loop accounts that
-	// directly instead of paying the full warp scan in Tick. The cache
-	// stays valid between Ticks because only a delivery (which refreshes
-	// it) can change the SM's state from outside.
-	wake []int64
 }
 
 // Option customises a GPU before it runs.
@@ -168,15 +164,12 @@ func New(cfg config.Config, kern kernel.Kernel, opts ...Option) (*GPU, error) {
 	g.memSys = dram.New(cfg, &g.shared)
 	g.net = noc.New(cfg.NumSMs, cfg.NoCBytesPerCycle, &g.shared)
 	g.smStats = make([]stats.Stats, cfg.NumSMs)
-	g.wake = make([]int64, cfg.NumSMs)
+	g.lanes = make([]smLane, cfg.NumSMs)
 	g.sms = make([]*core.SM, cfg.NumSMs)
-	if parallel {
-		g.ports = make([]smPort, cfg.NumSMs)
-	}
 	for i := 0; i < cfg.NumSMs; i++ {
 		var port core.MemPort = g.memSys
 		if parallel {
-			port = &g.ports[i]
+			port = &g.lanes[i].port
 		}
 		sm, err := core.NewSM(i, cfg, kern, port, &g.smStats[i])
 		if err != nil {
@@ -198,7 +191,7 @@ func New(cfg config.Config, kern kernel.Kernel, opts ...Option) (*GPU, error) {
 			for i := range g.sms {
 				g.parTr[i] = trace.NewSized(&g.parSink[i], 0, parTraceBlockEvents)
 				g.sms[i].SetTracer(g.parTr[i])
-				g.ports[i].tr = g.parTr[i]
+				g.lanes[i].port.tr = g.parTr[i]
 			}
 			g.net.SetSMTracers(g.parTr)
 		} else {
@@ -278,7 +271,7 @@ func (g *GPU) RunContext(ctx context.Context, kernName string) (Result, error) {
 				continue
 			}
 			allDone = false
-			if !g.noSkip && len(resp) == 0 && g.wake[i] > cycle {
+			if !g.noSkip && len(resp) == 0 && g.lanes[i].wake > cycle {
 				// The SM's cached wakeup bound proves this cycle is an
 				// issue stall and nothing else; account it without the
 				// full Tick (see skipTo for the invisibility argument).
@@ -287,7 +280,7 @@ func (g *GPU) RunContext(ctx context.Context, kernName string) (Result, error) {
 			}
 			sm.Tick(cycle)
 			if !g.noSkip {
-				g.wake[i] = sm.NextWakeup(cycle)
+				g.lanes[i].wake = sm.NextWakeup(cycle)
 			}
 		}
 		if g.timelineInterval > 0 && cycle%g.timelineInterval == 0 {
@@ -339,11 +332,7 @@ func (g *GPU) finish(kernName string, cycle int64, hitMax bool) Result {
 	}
 	res.Timeline = g.timeline
 	if g.eng != nil {
-		res.EngineStats = stats.EngineStats{
-			SMJobs:      g.smJobs,
-			Epochs:      g.eng.epochs,
-			EpochCycles: g.eng.epochCycles,
-		}
+		res.EngineStats = g.eng.prof
 	}
 	return res
 }
@@ -373,7 +362,7 @@ func (g *GPU) skipTo(cycle, maxCycles int64) int64 {
 		anyLive = true
 		// The cached bound is fresh for SMs that Ticked this cycle and
 		// still valid (> cycle) for ones that skipped it.
-		w := g.wake[i]
+		w := g.lanes[i].wake
 		if w <= cycle+1 {
 			return cycle // an SM is busy: no skip
 		}

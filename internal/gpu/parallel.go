@@ -73,10 +73,15 @@
 // already enqueued worker-side (scheduled or mirrored), and events created
 // by the replay itself pop after E.
 //
-// dram.NextFillCycleSM(sm) exposes the per-SM half of the fill mirror —
-// the earliest fill that can still respond toward a given SM — which is
-// the quantity the per-SM schedules realise; the equivalence tests pin it
-// against the schedule contents.
+// Hand-off and layout. Workers are persistent goroutines, each owning one
+// contiguous block of SMs, and an epoch is handed over through a
+// sequence-numbered barrier (epochBarrier) rather than a channel send and a
+// wake-up per epoch: both sides spin on cache-line-private atomics for a
+// bounded, self-tuned time and only then park, and they park at once when
+// GOMAXPROCS cannot run every worker. The words a worker writes every
+// cycle for an SM — its wakeup bound, port, schedule and epoch observations
+// here (smLane), its queue and credit in the NoC — sit in one padded slot
+// per SM, so cores working on neighbouring SMs never write the same line.
 //
 // Traced runs keep the strict PR 6 bounds —
 //
@@ -93,10 +98,15 @@ package gpu
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
+	"time"
+	"unsafe"
 
 	"apres/internal/arch"
 	"apres/internal/dram"
+	"apres/internal/stats"
 	"apres/internal/trace"
 )
 
@@ -139,17 +149,133 @@ func (p *smPort) Request(req arch.MemReq, cycle int64) {
 	p.reqs = append(p.reqs, bufferedReq{req: req, cycle: cycle, pos: pos})
 }
 
-// schedEntry is one response an SM will receive during the current epoch,
-// known either at epoch start (frozen events) or discovered by the SM's own
-// worker (mirrored merges): the cycle the serial loop enqueues it into the
-// NoC, the producing event's heap sequence (tie-break), and the response.
-type schedEntry struct {
-	enq  int64
-	seq  int64
-	resp dram.Response
+// cacheLine is the coherence granule that state written by different
+// workers is kept apart by.
+const cacheLine = 64
+
+// smLaneState is the engine-side state of one SM that its worker writes on
+// (nearly) every executed cycle.
+type smLaneState struct {
+	// wake caches the SM's NextWakeup bound from its last Tick. On any
+	// cycle before wake with no NoC delivery the SM provably does nothing
+	// but record one issue stall, so the loops (serial and parallel) account
+	// that directly instead of paying the full warp scan in Tick. The cache
+	// stays valid between Ticks because only a delivery (which refreshes it)
+	// can change the SM's state from outside.
+	wake int64
+
+	// port buffers the SM's memory-system injections (parallel runs only).
+	port smPort
+
+	// sched is the SM's response schedule for the current epoch: every
+	// response it will receive, stamped with the cycle the serial loop
+	// enqueues it into the NoC and sorted by (EnqueueCycle, Seq). Built at
+	// epoch start from the frozen event heap and extended in place by the
+	// SM's worker when its own requests merge into frozen fills.
+	sched []dram.Scheduled
+
+	// doneAt is the first cycle of the current epoch at which the SM was
+	// observed Done (-1 = not observed), mirroring the serial loop's
+	// before-Tick done check so the termination cycle matches exactly.
+	doneAt int64
+
+	// lastDeliv is the last cycle of the current epoch at which the SM
+	// received a delivery (-1 = none). The serial loop cannot break while
+	// responses remain queued, so the termination cycle must account for
+	// the epoch's final delivery as well as done observations and memory
+	// activity.
+	lastDeliv int64
 }
 
-type epochSpan struct{ from, to int64 }
+// smLane pads smLaneState to whole cache lines. Workers own contiguous
+// blocks of SMs, but even the two lanes either side of a block boundary must
+// not share a line: each is written every cycle by a different core.
+type smLane struct {
+	smLaneState
+	_ [cacheLine - unsafe.Sizeof(smLaneState{})%cacheLine]byte
+}
+
+// Spin tuning for the epoch barrier. A waiter polls spinPolls times between
+// clock checks and yields; it parks once it has spun for spinFactor times
+// the engine's mean serial section (the time workers normally have to wait
+// between epochs), and never longer than maxSpin.
+const (
+	spinPolls  = 256
+	spinFactor = 4
+	maxSpin    = time.Millisecond
+)
+
+// parker is one side's slot for waiting on the epoch barrier: spin on a
+// counter for a bounded time, then block on wake until the other side
+// signals. One per goroutine, padded so a parked flag flipping does not
+// disturb a neighbour that is spinning.
+type parker struct {
+	parked atomic.Bool
+	wake   chan struct{} // buffered 1: at most one signal per parked=true
+	_      [cacheLine - 16]byte
+}
+
+// await returns once v has reached target. It polls for up to spin, yielding
+// the processor every spinPolls polls so an oversubscribed host keeps making
+// progress, then parks. spin <= 0 parks at once.
+func (p *parker) await(v *atomic.Int64, target int64, spin time.Duration) {
+	if spin > 0 {
+		for start := time.Now(); ; {
+			for i := 0; i < spinPolls; i++ {
+				if v.Load() >= target {
+					return
+				}
+			}
+			if time.Since(start) >= spin {
+				break
+			}
+			runtime.Gosched()
+		}
+	}
+	for v.Load() < target {
+		p.parked.Store(true)
+		// Re-check after publishing the flag: either this load sees the
+		// counter at target, or the signaller's later load sees the flag.
+		if v.Load() >= target && p.parked.CompareAndSwap(true, false) {
+			return
+		}
+		// A signal can be late — sent for a target already seen by spinning —
+		// hence the loop.
+		<-p.wake
+	}
+}
+
+// signal wakes the waiter if (and only if) it has parked.
+func (p *parker) signal() {
+	if p.parked.Load() && p.parked.CompareAndSwap(true, false) {
+		p.wake <- struct{}{}
+	}
+}
+
+// epochBarrier is the hand-off between the coordinating goroutine and the
+// persistent workers. The coordinator writes the window, then bumps seq;
+// each worker waits for seq to move, advances its block, and bumps done; the
+// coordinator runs its own block and waits for done to reach
+// seq*len(workers). The two counters live on separate cache lines, each
+// written by one side only.
+type epochBarrier struct {
+	seq atomic.Int64
+	win epochWindow // valid for a worker once it has seen seq move
+	_   [cacheLine - (8+unsafe.Sizeof(epochWindow{}))%cacheLine]byte
+
+	done atomic.Int64
+	_    [cacheLine - 8]byte
+
+	coord   parker
+	workers []parker
+}
+
+// epochWindow is what the coordinator hands the workers for one epoch.
+type epochWindow struct {
+	from, to int64
+	spin     time.Duration // how long to spin for the next hand-off
+	stop     bool          // the run is over: exit instead of advancing
+}
 
 // engineScratch is the allocation-heavy per-run working set of the parallel
 // engine — response schedules, epoch barrier buffers, snapshot matrices,
@@ -159,17 +285,15 @@ type epochSpan struct{ from, to int64 }
 // truncated to length zero before reuse and per-epoch state is rebuilt by
 // prepareEpoch.
 type engineScratch struct {
-	sched     [][]schedEntry
-	doneAt    []int64
-	lastDeliv []int64
-	hi        []int
-	ri        []int
-	tlBound   []int64
-	trBound   []int64
-	tlSnap    [][]int64
-	trSnap    [][]trace.Gauges
-	pendTr    []pendingSample
-	ports     [][]bufferedReq
+	sched   [][]dram.Scheduled
+	hi      []int
+	ri      []int
+	tlBound []int64
+	trBound []int64
+	tlSnap  [][]int64
+	trSnap  [][]trace.Gauges
+	pendTr  []pendingSample
+	ports   [][]bufferedReq
 }
 
 var engineScratchPool sync.Pool
@@ -193,28 +317,15 @@ type parallelEngine struct {
 	minLat  int64 // min(L2Latency, DRAMLatency)
 	retLeg  int64 // DRAM-fill return leg, for mirrored merge responses
 
-	// epochs/epochCycles count executed epochs and the cycles they covered
-	// (Result.EngineStats; epochCycles/Cycles is the run's epoch coverage).
-	epochs      int64
-	epochCycles int64
-
-	// sched[i] is SM i's response schedule for the current epoch, sorted by
-	// (enq, seq); built at epoch start from the frozen event heap and
-	// extended in place by SM i's worker when its own requests merge into
-	// frozen fills. Reused across epochs.
-	sched [][]schedEntry
-
-	// doneAt[i] is the first cycle of the current epoch at which SM i was
-	// observed Done (-1 = not observed), mirroring the serial loop's
-	// before-Tick done check so the termination cycle matches exactly.
-	doneAt []int64
-
-	// lastDeliv[i] is the last cycle of the current epoch at which SM i
-	// received a delivery (-1 = none). The serial loop cannot break while
-	// responses remain queued, so the termination cycle must account for
-	// the epoch's final delivery as well as done observations and memory
-	// activity.
-	lastDeliv []int64
+	// prof counts executed epochs, the cycles they covered, and where the
+	// coordinating goroutine's wall time went (Result.EngineStats).
+	prof stats.EngineStats
+	// stamp is the last phase boundary the profile was charged up to.
+	stamp time.Time
+	// canSpin is whether Go has a processor for every worker; without that
+	// a polling waiter only delays the goroutine it waits for, so both sides
+	// of the barrier park at once.
+	canSpin bool
 
 	// hi/ri are per-SM cursors into local event streams / request buffers,
 	// used by the single-threaded barrier drain.
@@ -230,15 +341,14 @@ type parallelEngine struct {
 	trSnap  [][]trace.Gauges
 	pendTr  []pendingSample
 
-	// One channel per spawned worker so each receives exactly one span per
-	// epoch. Partition 0 has no channel: the coordinating goroutine runs it
-	// inline between sending spans and waiting, so an epoch costs jobs-1
-	// wakeups, not jobs.
-	work []chan epochSpan
-	wg   sync.WaitGroup
+	// bar hands epochs to the jobs-1 spawned workers. Block 0 has no worker:
+	// the coordinating goroutine runs it inline between publishing the
+	// window and waiting, so an epoch costs jobs-1 hand-offs, not jobs.
+	bar epochBarrier
 
-	// sc is the pooled backing for the per-SM slices above (and the ports'
-	// request buffers); stop() writes regrown headers back and returns it.
+	// sc is the pooled backing for the slices above (and the lanes'
+	// schedules and request buffers); stop() writes regrown headers back and
+	// returns it.
 	sc *engineScratch
 }
 
@@ -257,35 +367,32 @@ func newParallelEngine(g *GPU) *parallelEngine {
 		sc = &engineScratch{}
 	}
 	sc.sched = resizeSnap(sc.sched, n)
-	sc.doneAt = resizeSnap(sc.doneAt, n)
-	sc.lastDeliv = resizeSnap(sc.lastDeliv, n)
 	sc.hi = resizeSnap(sc.hi, n)
 	sc.ri = resizeSnap(sc.ri, n)
 	sc.tlSnap = resizeSnap(sc.tlSnap, n)
 	sc.trSnap = resizeSnap(sc.trSnap, n)
 	sc.ports = resizeSnap(sc.ports, n)
-	for i := 0; i < n; i++ {
-		sc.sched[i] = sc.sched[i][:0]
-		g.ports[i].reqs = sc.ports[i][:0]
+	for i := range g.lanes {
+		g.lanes[i].sched = sc.sched[i][:0]
+		g.lanes[i].port.reqs = sc.ports[i][:0]
 	}
 	e := &parallelEngine{
-		g:         g,
-		jobs:      jobs,
-		traced:    g.tr != nil,
-		minLat:    minLat,
-		retLeg:    g.memSys.ReturnLeg(),
-		sched:     sc.sched,
-		doneAt:    sc.doneAt,
-		lastDeliv: sc.lastDeliv,
-		hi:        sc.hi,
-		ri:        sc.ri,
-		tlBound:   sc.tlBound[:0],
-		trBound:   sc.trBound[:0],
-		tlSnap:    sc.tlSnap,
-		trSnap:    sc.trSnap,
-		pendTr:    sc.pendTr[:0],
-		work:      make([]chan epochSpan, 0, jobs-1),
-		sc:        sc,
+		g:       g,
+		jobs:    jobs,
+		traced:  g.tr != nil,
+		minLat:  minLat,
+		retLeg:  g.memSys.ReturnLeg(),
+		prof:    stats.EngineStats{SMJobs: g.smJobs},
+		stamp:   time.Now(),
+		canSpin: runtime.GOMAXPROCS(0) >= jobs,
+		hi:      sc.hi,
+		ri:      sc.ri,
+		tlBound: sc.tlBound[:0],
+		trBound: sc.trBound[:0],
+		tlSnap:  sc.tlSnap,
+		trSnap:  sc.trSnap,
+		pendTr:  sc.pendTr[:0],
+		sc:      sc,
 	}
 	e.deliver = !e.traced
 	if e.deliver {
@@ -293,70 +400,108 @@ func newParallelEngine(g *GPU) *parallelEngine {
 		// the engine exists before the first request enters the system.
 		g.memSys.TrackFills(true)
 	}
-	for w := 1; w < jobs; w++ {
-		ch := make(chan epochSpan, 1)
-		e.work = append(e.work, ch)
-		go e.worker(w, ch)
+	e.bar.coord.wake = make(chan struct{}, 1)
+	e.bar.workers = make([]parker, jobs-1)
+	for w := range e.bar.workers {
+		e.bar.workers[w].wake = make(chan struct{}, 1)
+		go e.worker(w + 1)
 	}
 	return e
 }
 
-// stop terminates the worker goroutines and returns the pooled working sets
-// (the engine's and the memory system's fill mirrors) for the next run.
+// stop retires the worker goroutines — returning once every one of them has
+// left its loop — and hands the pooled working sets (the engine's and the
+// memory system's fill mirrors) back for the next run.
 func (e *parallelEngine) stop() {
-	for _, ch := range e.work {
-		close(ch)
-	}
+	e.fanOut(epochWindow{stop: true})
+	e.awaitWorkers(0)
 	if e.deliver {
 		e.g.memSys.TrackFills(false)
 	}
 	sc := e.sc
-	// Inner per-SM slices were written back in place (the outer arrays are
-	// shared); only the append-grown headers need harvesting.
 	sc.tlBound = e.tlBound
 	sc.trBound = e.trBound
 	sc.pendTr = e.pendTr[:0]
-	for i := range e.g.ports {
-		sc.ports[i] = e.g.ports[i].reqs[:0]
-		e.g.ports[i].reqs = nil
+	for i := range e.g.lanes {
+		l := &e.g.lanes[i]
+		sc.sched[i], l.sched = l.sched[:0], nil
+		sc.ports[i], l.port.reqs = l.port.reqs[:0], nil
 	}
 	e.sc = nil
 	engineScratchPool.Put(sc)
 }
 
-// worker advances its SM partition (i ≡ w mod jobs) through each epoch it
-// receives. Workers touch only per-SM state — the SM itself, its stats, its
-// wake bound, its NoC queue and credit, its port, its schedule, its local
-// tracer, its snapshot rows — so the only synchronisation needed is the
-// epoch hand-off itself.
-func (e *parallelEngine) worker(w int, ch <-chan epochSpan) {
-	for sp := range ch {
-		e.advancePartition(w, sp.from, sp.to)
-		e.wg.Done()
+// fanOut publishes win to the workers and wakes any that have parked.
+func (e *parallelEngine) fanOut(win epochWindow) {
+	e.bar.win = win
+	e.bar.seq.Add(1)
+	for w := range e.bar.workers {
+		e.bar.workers[w].signal()
 	}
 }
 
-// advancePartition runs every SM of partition w through [from, to].
-func (e *parallelEngine) advancePartition(w int, from, to int64) {
-	for i := w; i < len(e.g.sms); i += e.jobs {
+// awaitWorkers returns once every worker has finished the window last
+// fanned out.
+func (e *parallelEngine) awaitWorkers(spin time.Duration) {
+	target := e.bar.seq.Load() * int64(len(e.bar.workers))
+	e.bar.coord.await(&e.bar.done, target, spin)
+}
+
+// worker advances SM block w through each epoch the coordinator fans out.
+// Workers touch only per-SM state — the SM itself, its stats, its lane, its
+// NoC slot, its local tracer, its snapshot rows — so the only
+// synchronisation needed is the epoch hand-off itself.
+func (e *parallelEngine) worker(w int) {
+	b := &e.bar
+	me := &b.workers[w-1]
+	var spin time.Duration // park until the first epoch says otherwise
+	for seq := int64(1); ; seq++ {
+		me.await(&b.seq, seq, spin)
+		win := b.win
+		if !win.stop {
+			e.advanceBlock(w, win.from, win.to)
+			spin = win.spin
+		}
+		if b.done.Add(1) == seq*int64(len(b.workers)) {
+			b.coord.signal()
+		}
+		if win.stop {
+			return
+		}
+	}
+}
+
+// blockStart returns the first SM of worker w's block when n SMs are split
+// into jobs contiguous blocks whose sizes differ by at most one, larger
+// blocks first (15 SMs over 2 workers: [0,8) and [8,15)). blockStart(jobs)
+// is n.
+func blockStart(w, jobs, n int) int {
+	return (w*n + jobs - 1) / jobs
+}
+
+// advanceBlock runs every SM of worker w's block through [from, to].
+func (e *parallelEngine) advanceBlock(w int, from, to int64) {
+	n := len(e.g.sms)
+	for i, end := blockStart(w, e.jobs, n), blockStart(w+1, e.jobs, n); i < end; i++ {
 		e.advanceSM(i, from, to)
 	}
 }
 
-// insertSched inserts ent into the sorted region sch[k:] at its (enq, seq)
-// upper bound — after every entry the serial loop enqueues at or before it,
-// including earlier-merged waiters of the same fill event.
-func insertSched(sch []schedEntry, k int, ent schedEntry) []schedEntry {
+// insertSched inserts ent into the sorted region sch[k:] at its
+// (EnqueueCycle, Seq) upper bound — after every entry the serial loop
+// enqueues at or before it, including earlier-merged waiters of the same
+// fill event.
+func insertSched(sch []dram.Scheduled, k int, ent dram.Scheduled) []dram.Scheduled {
 	lo, hi := k, len(sch)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if sch[mid].enq < ent.enq || (sch[mid].enq == ent.enq && sch[mid].seq <= ent.seq) {
+		if sch[mid].EnqueueCycle < ent.EnqueueCycle || (sch[mid].EnqueueCycle == ent.EnqueueCycle && sch[mid].Seq <= ent.Seq) {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	sch = append(sch, schedEntry{})
+	sch = append(sch, dram.Scheduled{})
 	copy(sch[lo+1:], sch[lo:])
 	sch[lo] = ent
 	return sch
@@ -370,12 +515,12 @@ func insertSched(sch []schedEntry, k int, ent schedEntry) []schedEntry {
 // that will merge into frozen fills popping inside the window (see the
 // package comment). Interval boundaries are snapshotted as they are
 // crossed. Everything touched here is per-SM state — the SM, its stats, its
-// wake bound, its NoC queue and credit, its port, its schedule, its local
-// tracer, its snapshot rows — which is the whole reason the epoch can fan
-// out.
+// lane, its NoC slot, its local tracer, its snapshot rows — which is the
+// whole reason the epoch can fan out.
 func (e *parallelEngine) advanceSM(i int, from, to int64) {
 	g := e.g
 	sm := g.sms[i]
+	ln := &g.lanes[i].smLaneState
 	ti, si := 0, 0
 	c := from
 	// nd is a conservative-early bound on the SM's next possible delivery
@@ -386,16 +531,16 @@ func (e *parallelEngine) advanceSM(i int, from, to int64) {
 	if !e.deliver {
 		nd = to + 1
 	}
-	sch := e.sched[i]
+	sch := ln.sched
 	k := 0  // schedule cursor: entries before k have been enqueued
 	ri := 0 // mirror cursor into the SM's buffered requests
 	for c <= to {
-		if k < len(sch) && sch[k].enq <= c {
+		if k < len(sch) && sch[k].EnqueueCycle <= c {
 			// The serial loop's memSys.Tick(c) enqueues these before the
 			// cycle's deliveries; pulling them now and re-arming the delivery
 			// bound reproduces both the queue order and the delivery timing.
-			for k < len(sch) && sch[k].enq <= c {
-				g.net.Enqueue(sch[k].resp)
+			for k < len(sch) && sch[k].EnqueueCycle <= c {
+				g.net.Enqueue(sch[k].Resp)
 				k++
 			}
 			nd = c
@@ -404,7 +549,7 @@ func (e *parallelEngine) advanceSM(i int, from, to int64) {
 		if c >= nd {
 			resp = g.net.Deliver(i, c)
 			if len(resp) > 0 {
-				e.lastDeliv[i] = c
+				ln.lastDeliv = c
 				for _, r := range resp {
 					sm.HandleFill(r, c)
 				}
@@ -415,15 +560,15 @@ func (e *parallelEngine) advanceSM(i int, from, to int64) {
 			}
 		}
 		if sm.Done() {
-			if e.doneAt[i] < 0 {
-				e.doneAt[i] = c
+			if ln.doneAt < 0 {
+				ln.doneAt = c
 			}
 			// The serial loop keeps draining a done SM's queue; jump straight
 			// to the next cycle a delivery could land on — or the next
 			// scheduled enqueue, which may arm one.
 			next := nd
-			if k < len(sch) && sch[k].enq < next {
-				next = sch[k].enq
+			if k < len(sch) && sch[k].EnqueueCycle < next {
+				next = sch[k].EnqueueCycle
 			}
 			if next > to {
 				break
@@ -431,16 +576,16 @@ func (e *parallelEngine) advanceSM(i int, from, to int64) {
 			c = next
 			continue
 		}
-		if !g.noSkip && len(resp) == 0 && g.wake[i] > c {
-			end := g.wake[i] - 1
+		if !g.noSkip && len(resp) == 0 && ln.wake > c {
+			end := ln.wake - 1
 			if end > to {
 				end = to
 			}
 			if nd-1 < end {
 				end = nd - 1
 			}
-			if k < len(sch) && sch[k].enq-1 < end {
-				end = sch[k].enq - 1
+			if k < len(sch) && sch[k].EnqueueCycle-1 < end {
+				end = sch[k].EnqueueCycle - 1
 			}
 			if e.traced {
 				g.parTr[i].Advance(c)
@@ -456,7 +601,7 @@ func (e *parallelEngine) advanceSM(i int, from, to int64) {
 		}
 		sm.Tick(c)
 		if !g.noSkip {
-			g.wake[i] = sm.NextWakeup(c)
+			ln.wake = sm.NextWakeup(c)
 		}
 		if e.deliver {
 			// Mirror merges: a request issued this cycle to a line whose
@@ -465,17 +610,17 @@ func (e *parallelEngine) advanceSM(i int, from, to int64) {
 			// at t. Insert it at its canonical schedule position. (Stores
 			// never respond; see the package comment for why the frozen map
 			// is exact during the window.)
-			reqs := g.ports[i].reqs
+			reqs := ln.port.reqs
 			for ; ri < len(reqs); ri++ {
 				br := &reqs[ri]
 				if br.req.Kind == arch.AccessStore {
 					continue
 				}
 				if t, seq, ok := g.memSys.FillFor(br.req.Line); ok && t > c && t <= to {
-					sch = insertSched(sch, k, schedEntry{
-						enq:  t,
-						seq:  seq,
-						resp: dram.Response{Req: br.req, ReadyCycle: t + e.retLeg},
+					sch = insertSched(sch, k, dram.Scheduled{
+						EnqueueCycle: t,
+						Seq:          seq,
+						Resp:         dram.Response{Req: br.req, ReadyCycle: t + e.retLeg},
 					})
 				}
 			}
@@ -484,7 +629,7 @@ func (e *parallelEngine) advanceSM(i int, from, to int64) {
 		si = e.snapTrace(i, si, c)
 		c++
 	}
-	e.sched[i] = sch
+	ln.sched = sch
 	// Remaining boundaries (SM done, or loop exhausted) see frozen gauges.
 	e.snapTimeline(i, ti, to)
 	e.snapTrace(i, si, to)
@@ -565,21 +710,20 @@ func resizeSnap[T any](s []T, n int) []T {
 }
 
 func (e *parallelEngine) prepareEpoch(from, to int64) {
-	for i := range e.doneAt {
-		e.doneAt[i] = -1
-		e.lastDeliv[i] = -1
+	lanes := e.g.lanes
+	for i := range lanes {
+		lanes[i].doneAt = -1
+		lanes[i].lastDeliv = -1
+		lanes[i].sched = lanes[i].sched[:0]
 	}
 	if e.deliver {
 		// Build each SM's response schedule from the frozen event heap:
 		// every response an in-window event pop will produce, in (pop cycle,
 		// event seq, waiter index) order — per-SM lists stay sorted because
 		// the lookahead emits in that global order.
-		for i := range e.sched {
-			e.sched[i] = e.sched[i][:0]
-		}
 		for _, s := range e.g.memSys.PeekWindowResponses(to) {
-			sm := s.Resp.Req.SM
-			e.sched[sm] = append(e.sched[sm], schedEntry{enq: s.EnqueueCycle, seq: s.Seq, resp: s.Resp})
+			ln := &lanes[s.Resp.Req.SM]
+			ln.sched = append(ln.sched, s)
 		}
 	}
 	e.tlBound = appendBounds(e.tlBound[:0], from, to, e.g.timelineInterval)
@@ -603,12 +747,13 @@ func (e *parallelEngine) prepareEpoch(from, to int64) {
 func (e *parallelEngine) runEpoch(from, to int64) (int64, bool) {
 	e.prepareEpoch(from, to)
 	g := e.g
-	e.wg.Add(len(e.work))
-	for _, ch := range e.work {
-		ch <- epochSpan{from: from, to: to}
-	}
-	e.advancePartition(0, from, to)
-	e.wg.Wait()
+	spin := e.spinBudget()
+	e.fanOut(epochWindow{from: from, to: to, spin: spin})
+	e.lap(&e.prof.PrepareNS)
+	e.advanceBlock(0, from, to)
+	e.lap(&e.prof.AdvanceNS)
+	e.awaitWorkers(spin)
+	e.lap(&e.prof.BarrierWaitNS)
 	var lastAct int64
 	if e.traced {
 		lastAct = e.drainEpochTraced(from, to)
@@ -617,7 +762,8 @@ func (e *parallelEngine) runEpoch(from, to int64) (int64, bool) {
 	}
 	allDone := true
 	maxDone := from
-	for _, d := range e.doneAt {
+	for i := range g.lanes {
+		d := g.lanes[i].doneAt
 		if d < 0 {
 			allDone = false
 			break
@@ -638,16 +784,38 @@ func (e *parallelEngine) runEpoch(from, to int64) (int64, bool) {
 		if lastAct > end {
 			end = lastAct
 		}
-		for _, d := range e.lastDeliv {
-			if d > end {
+		for i := range g.lanes {
+			if d := g.lanes[i].lastDeliv; d > end {
 				end = d
 			}
 		}
 	}
-	e.epochs++
-	e.epochCycles += end - from + 1
+	e.prof.Epochs++
+	e.prof.EpochCycles += end - from + 1
 	e.emitSamples(end)
+	e.lap(&e.prof.DrainNS)
 	return end, terminated
+}
+
+// lap charges the wall time since the previous phase boundary to *phase.
+// The four phases tile the coordinating goroutine's time: whatever runs
+// between one epoch's drain and the next fan-out (window planning, serial
+// steps, idle skips) counts as preparation.
+func (e *parallelEngine) lap(phase *int64) {
+	now := time.Now()
+	*phase += int64(now.Sub(e.stamp))
+	e.stamp = now
+}
+
+// spinBudget is how long either side of the barrier polls before parking:
+// a few times the mean serial section so far — the wait a worker normally
+// sees between epochs, of which the first epoch knows nothing, so it parks.
+func (e *parallelEngine) spinBudget() time.Duration {
+	if !e.canSpin || e.prof.Epochs == 0 {
+		return 0
+	}
+	serial := time.Duration((e.prof.PrepareNS + e.prof.DrainNS) / e.prof.Epochs)
+	return min(spinFactor*serial, maxSpin)
 }
 
 // drainEpochPlain replays the epoch's buffered injections into the memory
@@ -674,8 +842,8 @@ func (e *parallelEngine) drainEpochPlain(from, to int64) int64 {
 		if t := g.memSys.NextEventCycle(c); t >= 0 {
 			next = t
 		}
-		for i := range g.ports {
-			p := &g.ports[i]
+		for i := range g.lanes {
+			p := &g.lanes[i].port
 			if e.ri[i] < len(p.reqs) {
 				if rc := p.reqs[e.ri[i]].cycle; next < 0 || rc < next {
 					next = rc
@@ -690,16 +858,16 @@ func (e *parallelEngine) drainEpochPlain(from, to int64) int64 {
 			lastAct = c
 			g.memSys.Tick(c)
 		}
-		for i := range g.ports {
-			p := &g.ports[i]
+		for i := range g.lanes {
+			p := &g.lanes[i].port
 			for e.ri[i] < len(p.reqs) && p.reqs[e.ri[i]].cycle == c {
 				g.memSys.Request(p.reqs[e.ri[i]].req, c)
 				e.ri[i]++
 			}
 		}
 	}
-	for i := range g.ports {
-		g.ports[i].reqs = g.ports[i].reqs[:0]
+	for i := range g.lanes {
+		g.lanes[i].port.reqs = g.lanes[i].port.reqs[:0]
 	}
 	return lastAct
 }
@@ -729,7 +897,7 @@ func (e *parallelEngine) drainEpochTraced(from, to int64) int64 {
 		}
 		for i := range g.sms {
 			evs := g.parSink[i].Events
-			p := &g.ports[i]
+			p := &g.lanes[i].port
 			for {
 				eOK := e.hi[i] < len(evs) && evs[e.hi[i]].Cycle <= c
 				rOK := e.ri[i] < len(p.reqs) && p.reqs[e.ri[i]].cycle <= c
@@ -761,8 +929,9 @@ func (e *parallelEngine) drainEpochTraced(from, to int64) int64 {
 	}
 	for i := range g.sms {
 		g.parSink[i].Events = g.parSink[i].Events[:0]
-		g.ports[i].reqs = g.ports[i].reqs[:0]
-		g.ports[i].base = g.parTr[i].Emitted()
+		p := &g.lanes[i].port
+		p.reqs = p.reqs[:0]
+		p.base = g.parTr[i].Emitted()
 	}
 	return lastAct
 }
@@ -795,8 +964,8 @@ func (e *parallelEngine) emitSamples(end int64) {
 func (e *parallelEngine) drainStep() {
 	g := e.g
 	if !e.traced {
-		for i := range g.ports {
-			p := &g.ports[i]
+		for i := range g.lanes {
+			p := &g.lanes[i].port
 			for _, br := range p.reqs {
 				g.memSys.Request(br.req, br.cycle)
 			}
@@ -808,7 +977,7 @@ func (e *parallelEngine) drainStep() {
 		lt := g.parTr[i]
 		lt.Flush()
 		evs := g.parSink[i].Events
-		p := &g.ports[i]
+		p := &g.lanes[i].port
 		hi, ri := 0, 0
 		for hi < len(evs) || ri < len(p.reqs) {
 			if ri < len(p.reqs) && (hi >= len(evs) || p.reqs[ri].pos <= int64(hi)) {
@@ -857,7 +1026,7 @@ func (e *parallelEngine) mergeStrays() {
 	}
 	for i := range g.sms {
 		g.parSink[i].Events = g.parSink[i].Events[:0]
-		g.ports[i].base = g.parTr[i].Emitted()
+		g.lanes[i].port.base = g.parTr[i].Emitted()
 	}
 }
 
@@ -926,13 +1095,13 @@ func (g *GPU) runParallel(ctx context.Context, kernName string) (Result, error) 
 					continue
 				}
 				allDone = false
-				if !g.noSkip && len(resp) == 0 && g.wake[i] > cycle {
+				if !g.noSkip && len(resp) == 0 && g.lanes[i].wake > cycle {
 					sm.SkipIdle(cycle, cycle)
 					continue
 				}
 				sm.Tick(cycle)
 				if !g.noSkip {
-					g.wake[i] = sm.NextWakeup(cycle)
+					g.lanes[i].wake = sm.NextWakeup(cycle)
 				}
 			}
 			e.drainStep()

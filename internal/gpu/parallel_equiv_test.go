@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"apres/internal/workspec"
@@ -26,10 +27,28 @@ const parallelEquivSMs = 5
 // contract that makes the parallel model trustworthy: it is not an
 // approximation of the serial one, it *is* the serial one, faster.
 func TestParallelEquivalence(t *testing.T) {
+	parallelEquivalenceMatrix(t, parallelWorkerCounts)
+}
+
+// TestParallelEquivalenceOneProc repeats the whole matrix with a single
+// processor for Go to schedule on, where no worker can run while another
+// goroutine polls: every hand-off goes through the barrier's park/signal
+// path (TestSpinBudget pins that it spins for no time at all), and a lost
+// wake-up there would hang the run.
+func TestParallelEquivalenceOneProc(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	// The group returns only once its parallel subtests have finished, which
+	// is what keeps them inside the GOMAXPROCS(1) section.
+	t.Run("matrix", func(t *testing.T) {
+		parallelEquivalenceMatrix(t, []int{2, 4, 8})
+	})
+}
+
+func parallelEquivalenceMatrix(t *testing.T, workers []int) {
 	runMatrix(t, parallelEquivSMs, func(t *testing.T, c matrixCase) {
 		serial := runEquivCell(t, c, false)
 		serialTr := runEquivCell(t, c, true)
-		for _, n := range parallelWorkerCounts {
+		for _, n := range workers {
 			par := runEquivCell(t, c, false, WithParallelSMs(n))
 			requireSameRun(t, fmt.Sprintf("par%d", n), serial, par)
 			parTr := runEquivCell(t, c, true, WithParallelSMs(n))

@@ -5,6 +5,8 @@
 package noc
 
 import (
+	"unsafe"
+
 	"apres/internal/arch"
 	"apres/internal/dram"
 	"apres/internal/stats"
@@ -26,25 +28,41 @@ type smQueue struct {
 	head int
 }
 
+// cacheLine is the coherence granule the per-SM state is padded to.
+const cacheLine = 64
+
+// smState is everything Deliver and Enqueue write for one SM.
+type smState struct {
+	q      smQueue
+	credit int
+	// creditCycle is the cycle the SM's credit was last banked; Deliver
+	// banks credit for all elapsed cycles since, so the event-driven loop
+	// may skip idle cycles without changing delivery timing.
+	creditCycle int64
+	// bytesToSM accumulates delivered traffic. Deliver must be callable
+	// concurrently for distinct SMs (the parallel engine's workers deliver
+	// inside epochs), so the shared stats counter cannot be bumped there;
+	// FlushStats folds the per-SM totals into st once, at the end of the
+	// run. Nothing samples BytesToSM mid-run, so deferring it is
+	// observationally identical for the serial engine too.
+	bytesToSM int64
+}
+
+// smSlot pads smState to whole cache lines: the parallel engine's workers
+// write neighbouring SMs' state from different cores on every delivery, and
+// a line shared between two of them would bounce on each write.
+type smSlot struct {
+	smState
+	_ [cacheLine - unsafe.Sizeof(smState{})%cacheLine]byte
+}
+
 // Network delivers memory responses to SMs with per-SM bandwidth limits.
 type Network struct {
 	bytesPerCycle int
-	queues        []smQueue
-	credit        []int
-	// creditCycle is the cycle each SM's credit was last banked; Deliver
-	// banks credit for all elapsed cycles since, so the event-driven loop
-	// may skip idle cycles without changing delivery timing.
-	creditCycle []int64
-	// bytesToSM accumulates delivered traffic per SM. Deliver must be
-	// callable concurrently for distinct SMs (the parallel engine's workers
-	// deliver inside epochs), so the shared stats counter cannot be bumped
-	// there; FlushStats folds the per-SM totals into st once, at the end of
-	// the run. Nothing samples BytesToSM mid-run, so deferring it is
-	// observationally identical for the serial engine too.
-	bytesToSM []int64
-	st        *stats.Stats
-	tr        *trace.Tracer
-	smTr      []*trace.Tracer
+	sms           []smSlot
+	st            *stats.Stats
+	tr            *trace.Tracer
+	smTr          []*trace.Tracer
 }
 
 // SetTracer attaches the trace sink; nil disables tracing (the default).
@@ -63,14 +81,11 @@ func (n *Network) SetSMTracers(smTr []*trace.Tracer) { n.smTr = smTr }
 func New(numSMs, bytesPerCycle int, st *stats.Stats) *Network {
 	n := &Network{
 		bytesPerCycle: bytesPerCycle,
-		queues:        make([]smQueue, numSMs),
-		credit:        make([]int, numSMs),
-		creditCycle:   make([]int64, numSMs),
-		bytesToSM:     make([]int64, numSMs),
+		sms:           make([]smSlot, numSMs),
 		st:            st,
 	}
-	for i := range n.creditCycle {
-		n.creditCycle[i] = -1 // first Deliver at cycle 0 banks one cycle
+	for i := range n.sms {
+		n.sms[i].creditCycle = -1 // first Deliver at cycle 0 banks one cycle
 	}
 	return n
 }
@@ -85,7 +100,7 @@ func New(numSMs, bytesPerCycle int, st *stats.Stats) *Network {
 // single-threaded (serial steps and epoch barriers only) so the shared
 // KindNoCInject stream retains its exact serial order.
 func (n *Network) Enqueue(r dram.Response) {
-	q := &n.queues[r.Req.SM]
+	q := &n.sms[r.Req.SM].q
 	if q.head > 0 && len(q.buf) == cap(q.buf) {
 		// Compact before growing so partially drained queues reuse their
 		// array instead of reallocating forever.
@@ -106,44 +121,45 @@ func (n *Network) Enqueue(r dram.Response) {
 // elapsed cycles is exactly equivalent to the per-cycle accrual of a
 // cycle-by-cycle loop: credit only ever grows between Deliver calls, so
 // applying the cap once at the end equals applying it every cycle.
-func (n *Network) bankCredit(sm int, cycle int64) {
-	gap := cycle - n.creditCycle[sm]
-	n.creditCycle[sm] = cycle
+func (n *Network) bankCredit(s *smState, cycle int64) {
+	gap := cycle - s.creditCycle
+	s.creditCycle = cycle
 	if gap <= 0 {
 		return
 	}
 	// Saturation guard first: keeps int(gap)*bytesPerCycle far from
 	// overflow for arbitrarily long skips.
 	if gap > int64(maxCreditBytes/n.bytesPerCycle) {
-		n.credit[sm] = maxCreditBytes
+		s.credit = maxCreditBytes
 		return
 	}
-	c := n.credit[sm] + int(gap)*n.bytesPerCycle
+	c := s.credit + int(gap)*n.bytesPerCycle
 	if c > maxCreditBytes {
 		c = maxCreditBytes
 	}
-	n.credit[sm] = c
+	s.credit = c
 }
 
 // Deliver returns the responses that reach SM sm at the given cycle, limited
 // by the SM's accumulated bandwidth credit. The returned slice is only valid
 // until the next Enqueue or Deliver call for the same SM.
 //
-// Concurrency contract: Deliver (and NextDeliveryCycleSM) touch only state
-// indexed by sm — the queue, credit, creditCycle, bytesToSM, and the per-SM
-// tracer — so calls for distinct SMs may run on distinct goroutines, as the
+// Concurrency contract: Deliver (and NextDeliveryCycleSM) touch only sm's
+// own smSlot and per-SM tracer, so calls for distinct SMs may run on
+// distinct goroutines, as the
 // parallel engine's workers do inside an epoch. Enqueue and the remaining
 // methods stay single-threaded (serial steps and epoch barriers).
 func (n *Network) Deliver(sm int, cycle int64) []dram.Response {
-	n.bankCredit(sm, cycle)
-	q := &n.queues[sm]
+	s := &n.sms[sm].smState
+	n.bankCredit(s, cycle)
+	q := &s.q
 	pend := q.buf[q.head:]
 	delivered := 0
 	for delivered < len(pend) &&
 		pend[delivered].ReadyCycle <= cycle &&
-		n.credit[sm] >= arch.LineSizeBytes {
-		n.credit[sm] -= arch.LineSizeBytes
-		n.bytesToSM[sm] += arch.LineSizeBytes
+		s.credit >= arch.LineSizeBytes {
+		s.credit -= arch.LineSizeBytes
+		s.bytesToSM += arch.LineSizeBytes
 		delivered++
 	}
 	q.head += delivered
@@ -169,8 +185,8 @@ func (n *Network) Deliver(sm int, cycle int64) []dram.Response {
 // shared counter would be O(1) but would race when workers deliver for
 // distinct SMs concurrently.
 func (n *Network) Pending() bool {
-	for i := range n.queues {
-		q := &n.queues[i]
+	for i := range n.sms {
+		q := &n.sms[i].q
 		if q.head != len(q.buf) {
 			return true
 		}
@@ -182,9 +198,9 @@ func (n *Network) Pending() bool {
 // stats block. Call once, after the last Deliver (the GPU does it when
 // assembling the final Result).
 func (n *Network) FlushStats() {
-	for i, b := range n.bytesToSM {
-		n.st.BytesToSM += b
-		n.bytesToSM[i] = 0
+	for i := range n.sms {
+		n.st.BytesToSM += n.sms[i].bytesToSM
+		n.sms[i].bytesToSM = 0
 	}
 }
 
@@ -196,7 +212,7 @@ func (n *Network) FlushStats() {
 // (early), never late.
 func (n *Network) NextDeliveryCycle(cycle int64) int64 {
 	next := int64(-1)
-	for sm := range n.queues {
+	for sm := range n.sms {
 		t := n.NextDeliveryCycleSM(sm, cycle)
 		if t < 0 {
 			continue
@@ -218,14 +234,15 @@ func (n *Network) NextDeliveryCycle(cycle int64) int64 {
 // engine uses it to cap a worker's bulk idle-skip so no in-epoch delivery
 // cycle is jumped over.
 func (n *Network) NextDeliveryCycleSM(sm int, cycle int64) int64 {
-	q := &n.queues[sm]
+	s := &n.sms[sm].smState
+	q := &s.q
 	if q.head == len(q.buf) {
 		return -1
 	}
 	t := q.buf[q.head].ReadyCycle
-	if deficit := arch.LineSizeBytes - n.credit[sm]; deficit > 0 {
+	if deficit := arch.LineSizeBytes - s.credit; deficit > 0 {
 		per := n.bytesPerCycle
-		if tc := n.creditCycle[sm] + int64((deficit+per-1)/per); tc > t {
+		if tc := s.creditCycle + int64((deficit+per-1)/per); tc > t {
 			t = tc
 		}
 	}

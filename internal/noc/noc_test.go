@@ -2,6 +2,7 @@ package noc
 
 import (
 	"testing"
+	"unsafe"
 
 	"apres/internal/arch"
 	"apres/internal/dram"
@@ -34,7 +35,7 @@ func TestBandwidthLimit(t *testing.T) {
 	delivered := 0
 	// Drain any banked credit first (pinning creditCycle so the gap to
 	// the next Deliver does not re-bank what we just drained).
-	n.credit[0], n.creditCycle[0] = 0, 0
+	n.sms[0].credit, n.sms[0].creditCycle = 0, 0
 	for cyc := int64(1); cyc <= 12; cyc++ {
 		delivered += len(n.Deliver(0, cyc))
 	}
@@ -45,7 +46,7 @@ func TestBandwidthLimit(t *testing.T) {
 	// with empty credit.
 	n.Enqueue(resp(0, 0))
 	n.Enqueue(resp(0, 0))
-	n.credit[0], n.creditCycle[0] = 0, 99
+	n.sms[0].credit, n.sms[0].creditCycle = 0, 99
 	first := len(n.Deliver(0, 100)) + len(n.Deliver(0, 101)) + len(n.Deliver(0, 102))
 	if first > 1 {
 		t.Fatalf("delivered %d lines in 3 cycles at 32 B/cycle, want <=1", first)
@@ -59,8 +60,8 @@ func TestCreditCap(t *testing.T) {
 	for cyc := int64(0); cyc < 1000; cyc++ {
 		n.Deliver(0, cyc)
 	}
-	if n.credit[0] > maxCreditLines*arch.LineSizeBytes {
-		t.Fatalf("credit %d exceeds cap", n.credit[0])
+	if n.sms[0].credit > maxCreditLines*arch.LineSizeBytes {
+		t.Fatalf("credit %d exceeds cap", n.sms[0].credit)
 	}
 }
 
@@ -148,8 +149,8 @@ func TestCreditBankingAcrossGaps(t *testing.T) {
 	if got := gapped.Deliver(0, 1<<60); len(got) != 1 {
 		t.Fatalf("delivered %d after huge gap, want 1", len(got))
 	}
-	if gapped.credit[0] > maxCreditBytes {
-		t.Fatalf("credit %d exceeds cap after huge gap", gapped.credit[0])
+	if gapped.sms[0].credit > maxCreditBytes {
+		t.Fatalf("credit %d exceeds cap after huge gap", gapped.sms[0].credit)
 	}
 }
 
@@ -193,7 +194,7 @@ func TestNextDeliveryCycle(t *testing.T) {
 	// SM1's head is long ready but the SM is credit-starved: its bound is
 	// the credit refill, and it wins the cross-SM minimum.
 	n.Enqueue(resp(1, 0))
-	n.credit[1], n.creditCycle[1] = 0, 20
+	n.sms[1].credit, n.sms[1].creditCycle = 0, 20
 	next := n.NextDeliveryCycle(20)
 	if next != 24 { // 128 B deficit at 32 B/cycle from cycle 20
 		t.Fatalf("NextDeliveryCycle = %d, want 24 (credit bound)", next)
@@ -203,5 +204,14 @@ func TestNextDeliveryCycle(t *testing.T) {
 	}
 	if got := n.Deliver(1, next); len(got) != 1 {
 		t.Fatalf("delivered %d at the reported bound, want 1", len(got))
+	}
+}
+
+// TestPerSMStateFillsWholeLines guards the layout the parallel engine leans
+// on: each SM's queue, credit and byte counter occupy their own cache
+// line(s), so workers delivering to neighbouring SMs never write one line.
+func TestPerSMStateFillsWholeLines(t *testing.T) {
+	if sz := unsafe.Sizeof(smSlot{}); sz%cacheLine != 0 {
+		t.Fatalf("smSlot is %d bytes, not a multiple of the %d-byte line", sz, cacheLine)
 	}
 }

@@ -209,9 +209,20 @@ type EngineStats struct {
 	// Epochs is the number of parallel epochs executed.
 	Epochs int64
 	// EpochCycles is the total number of simulated cycles covered by those
-	// epochs. EpochCycles / total cycles is the run's epoch coverage — the
-	// Amdahl ceiling for multicore scaling.
+	// epochs. EpochCycles / total cycles is the run's epoch coverage.
 	EpochCycles int64
+
+	// The phase profile: where the coordinating goroutine's wall time went,
+	// in nanoseconds summed over the run's epochs. PrepareNS is the serial
+	// work before each fan-out (window planning and lookahead, plus any
+	// serial steps and idle skips since the previous epoch), AdvanceNS the
+	// coordinator's own SM block, BarrierWaitNS the wait for the other
+	// workers after it, DrainNS the single-threaded barrier replay. Host
+	// measurements, not results: never serialised.
+	PrepareNS     int64 `json:"-"`
+	AdvanceNS     int64 `json:"-"`
+	BarrierWaitNS int64 `json:"-"`
+	DrainNS       int64 `json:"-"`
 }
 
 // Coverage returns the fraction of totalCycles executed inside parallel
