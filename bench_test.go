@@ -20,6 +20,7 @@ import (
 	"apres/internal/config"
 	"apres/internal/gpu"
 	"apres/internal/harness"
+	"apres/internal/kernel"
 	"apres/internal/twin"
 	"apres/internal/workloads"
 )
@@ -329,12 +330,18 @@ func BenchmarkFig10ByJobs(b *testing.B) {
 // `go run ./bench -workload sim_serial` / `sim_smjobs2` is the benchmark of
 // record for the same engines at full scale (bench/reference.json).
 //
-// TestSimulatorAllocBudget guards the zero-allocation hot path: a full
-// simulation at bench scale must stay within a small fixed allocation
-// budget (BenchmarkSimulatorThroughput reports allocs/op: ~3.9k for SP and
-// ~6.1k for BFS, all from one-time setup). A regression here means
-// something on the per-cycle path started allocating — including, per the
-// tracing contract, any cost from the disabled (nil) tracer. The parallel
+// TestSimulatorAllocBudget guards the allocation-free per-cycle path: a full
+// simulation at bench scale allocates for its one-time setup and for queues,
+// tables and pools growing to their working size, and nothing per cycle, per
+// access or per scheduler/prefetcher event. The baseline configuration must
+// stay within a fixed budget per app (BenchmarkSimulatorThroughput reports
+// allocs/op); CCWS+STR and APRES — which add the CCWS victim tags, the STR
+// and SAP tables, LAWS regrouping and the prefetch queue to the hot path —
+// must stay within 1.5x of the same app's baseline count, so a scheduler or
+// prefetcher that allocates per event (they did: LAWS.partition, SAP's sort,
+// STR's request slice, WarpMask.Warps in CCWS.Pick) fails here. A regression
+// means something on the per-cycle path started allocating — including, per
+// the tracing contract, any cost from the disabled (nil) tracer. The parallel
 // leg additionally pins the epoch engine's steady-state overhead to within
 // 1% of serial: with the engine's working set (schedules, barrier buffers,
 // injection queues) and the memory system's fill mirrors pooled across runs,
@@ -347,28 +354,39 @@ func TestSimulatorAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full bench-scale simulations")
 	}
-	for app, budget := range map[string]float64{"SP": 4500, "BFS": 7000} {
+	allocs := func(cfg config.Config, kern kernel.Kernel, opts ...gpu.Option) float64 {
+		return testing.AllocsPerRun(1, func() {
+			if _, err := gpu.Simulate(cfg, kern, opts...); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for app, budget := range map[string]float64{"SP": 4500, "BFS": 7000, "KM": 6500} {
 		w, ok := workloads.ByName(app)
 		if !ok {
 			t.Fatalf("unknown workload %s", app)
 		}
 		kern := w.Kernel.Scaled(benchScale)
-		serial := testing.AllocsPerRun(1, func() {
-			if _, err := gpu.Simulate(config.Baseline(), kern); err != nil {
-				t.Fatal(err)
-			}
-		})
+		serial := allocs(config.Baseline(), kern)
 		if serial > budget {
 			t.Errorf("%s: %.0f allocs/run, budget %.0f", app, serial, budget)
 		}
-		par := testing.AllocsPerRun(1, func() {
-			if _, err := gpu.Simulate(config.Baseline(), kern, gpu.WithParallelSMs(4)); err != nil {
-				t.Fatal(err)
-			}
-		})
+		par := allocs(config.Baseline(), kern, gpu.WithParallelSMs(4))
 		if limit := serial * 1.01; par > limit {
 			t.Errorf("%s: parallel %.0f allocs/run exceeds serial %.0f by more than 1%% (limit %.0f)",
 				app, par, serial, limit)
+		}
+		for _, name := range []string{"ccws+str", "apres"} {
+			cfg, err := harness.NamedConfig(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := allocs(cfg, kern)
+			t.Logf("%s: base %.0f, %s %.0f allocs/run", app, serial, name, got)
+			if limit := 1.5 * serial; got > limit {
+				t.Errorf("%s/%s: %.0f allocs/run exceeds 1.5x the baseline's %.0f (limit %.0f)",
+					app, name, got, serial, limit)
+			}
 		}
 	}
 }

@@ -92,6 +92,38 @@ func TestQuickWarpMask(t *testing.T) {
 	}
 }
 
+// Property: walking a mask with Lowest and m &= m-1 visits exactly Warps(),
+// and FirstWarps(n) holds exactly the warps below n.
+func TestQuickWarpMaskBitScan(t *testing.T) {
+	f := func(bits uint64, n uint8) bool {
+		m := WarpMask(bits)
+		want := m.Warps()
+		i := 0
+		for w := m; w != 0; w &= w - 1 {
+			if i >= len(want) || w.Lowest() != want[i] {
+				return false
+			}
+			i++
+		}
+		if i != len(want) {
+			return false
+		}
+		first := FirstWarps(int(n % 65))
+		for w := WarpID(0); w < 64; w++ {
+			if first.Has(w) != (int(w) < int(n%65)) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	if WarpMask(0).Lowest() != 64 {
+		t.Fatalf("Lowest of the empty mask = %d, want 64", WarpMask(0).Lowest())
+	}
+}
+
 // Property: line address arithmetic is consistent.
 func TestQuickLineArithmetic(t *testing.T) {
 	f := func(a uint64) bool {

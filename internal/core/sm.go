@@ -63,6 +63,7 @@ type completion struct {
 // address prediction is likely to be correct"), so the SM stops issuing
 // prefetches for loads whose predictions keep going unused.
 type pfAccuracy struct {
+	pc                arch.PC
 	issued, good, bad int
 }
 
@@ -102,7 +103,7 @@ type LoadStat struct {
 	// StrideSamples counts stride observations.
 	StrideSamples int64
 
-	seen     map[arch.LineAddr]struct{}
+	seen     mem.LineTable[struct{}]
 	lastWarp arch.WarpID
 	lastAddr arch.Addr
 	hasLast  bool
@@ -176,8 +177,11 @@ type SM struct {
 	completions []completion
 	compHead    int
 
-	pfQueued map[arch.LineAddr]struct{}
-	pfAcc    map[arch.PC]*pfAccuracy
+	// pfQueued holds the lines of the requests waiting in pfQ.
+	pfQueued mem.LineTable[struct{}]
+	// pfAcc has one record per static load that has issued a prefetch: a
+	// handful per kernel, so it is a slice scanned linearly.
+	pfAcc []pfAccuracy
 
 	// Warp readiness is tracked incrementally so readyMask is a handful
 	// of mask operations instead of a scan over every warp's walker each
@@ -233,8 +237,7 @@ func NewSM(id int, cfg config.Config, kern kernel.Kernel, memSys MemPort, st *st
 		mem:       memSys,
 		warps:     make([]warpCtx, nWarps),
 		alive:     nWarps,
-		pfQueued:  make(map[arch.LineAddr]struct{}),
-		pfAcc:     make(map[arch.PC]*pfAccuracy),
+		pfQueued:  mem.NewLineTable[struct{}](pfQueueMax),
 		st:        st,
 		loadStats: make(map[arch.PC]*LoadStat),
 		laneBuf:   make([]arch.Addr, arch.WarpSize),
@@ -365,12 +368,16 @@ func (sm *SM) HandleFill(r dram.Response, cycle int64) {
 }
 
 // Tick advances the SM by one cycle: expire hit completions, process one
-// LSU operation, then issue one instruction.
-func (sm *SM) Tick(cycle int64) {
+// LSU operation, then issue one instruction. It reports whether the SM is
+// certainly busy next cycle too — it issued, or LSU or prefetch work is still
+// queued. After a busy tick the run loop ticks again without asking
+// NextWakeup; only an idle tick is worth the wake-bound computation.
+func (sm *SM) Tick(cycle int64) (busy bool) {
 	sm.st.Cycles = cycle + 1
 	sm.expireCompletions(cycle)
 	sm.lsuTick(cycle)
-	sm.issueTick(cycle)
+	issued := sm.issueTick(cycle)
+	return issued || sm.lsuLen() > 0 || sm.pfLen() > 0
 }
 
 func (sm *SM) expireCompletions(cycle int64) {
@@ -551,14 +558,15 @@ func (sm *SM) traceStall(reason int64) {
 		Warp: -1, Arg: reason})
 }
 
-func (sm *SM) issueTick(cycle int64) {
+// issueTick issues at most one instruction and reports whether it did.
+func (sm *SM) issueTick(cycle int64) bool {
 	ready := sm.readyMask(cycle)
 	if ready == 0 {
 		sm.st.IssueStallCycles++
 		if sm.tr != nil {
 			sm.traceStall(sm.stallReason())
 		}
-		return
+		return false
 	}
 	w, ok := sm.Sched.Pick(ready, cycle)
 	if !ok {
@@ -566,7 +574,7 @@ func (sm *SM) issueTick(cycle int64) {
 		if sm.tr != nil {
 			sm.traceStall(trace.StallScheduler)
 		}
-		return
+		return false
 	}
 	wc := &sm.warps[w]
 	in := wc.walker.Peek()
@@ -619,6 +627,7 @@ func (sm *SM) issueTick(cycle int64) {
 	} else if !wc.done {
 		sm.refreshInstMasks(w)
 	}
+	return true
 }
 
 func (sm *SM) issueMemOp(w arch.WarpID, wc *warpCtx, in *kernel.Inst, kind arch.AccessKind, cycle int64) {
@@ -673,8 +682,7 @@ func (sm *SM) issueMemOp(w arch.WarpID, wc *warpCtx, in *kernel.Inst, kind arch.
 // starve it into always-late prefetches).
 func (sm *SM) lsuTick(cycle int64) {
 	if sm.lsuHead < len(sm.lsuQ) {
-		op := sm.lsuQ[sm.lsuHead]
-		if sm.processDemand(op, cycle) {
+		if sm.processDemand(&sm.lsuQ[sm.lsuHead], cycle) {
 			sm.lsuHead++
 			if sm.lsuHead == len(sm.lsuQ) {
 				sm.lsuQ = sm.lsuQ[:0]
@@ -685,7 +693,7 @@ func (sm *SM) lsuTick(cycle int64) {
 	if sm.pfHead < len(sm.pfQ) {
 		r := sm.pfQ[sm.pfHead]
 		if sm.processPrefetch(r, cycle) {
-			delete(sm.pfQueued, r.Addr.Line())
+			sm.pfQueued.Delete(r.Addr.Line())
 			sm.pfHead++
 			if sm.pfHead == len(sm.pfQ) {
 				sm.pfQ = sm.pfQ[:0]
@@ -696,7 +704,7 @@ func (sm *SM) lsuTick(cycle int64) {
 }
 
 // processDemand returns false if the access stalled and must retry.
-func (sm *SM) processDemand(op lsuOp, cycle int64) bool {
+func (sm *SM) processDemand(op *lsuOp, cycle int64) bool {
 	if op.req.Kind == arch.AccessStore {
 		// Write-through, no-allocate: straight to the memory system.
 		sm.mem.Request(op.req, cycle)
@@ -771,7 +779,7 @@ func (sm *SM) countMiss(out mem.Outcome) {
 
 // onLeadResult drives the scheduler/prefetcher feedback loop once per load
 // instruction, using the lead line's L1 outcome (Figure 5's LSU feedback).
-func (sm *SM) onLeadResult(op lsuOp, hit bool, cycle int64) {
+func (sm *SM) onLeadResult(op *lsuOp, hit bool, cycle int64) {
 	group := sm.Sched.OnCacheResult(op.req.Warp, op.req.PC, op.req.Line, hit, op.group)
 	if sm.sap != nil {
 		if !hit && group != 0 {
@@ -780,11 +788,9 @@ func (sm *SM) onLeadResult(op lsuOp, hit bool, cycle int64) {
 			// SAP never retains the targets slice, so one buffer serves
 			// every group miss.
 			targets := sm.targetBuf[:0]
-			for i := range sm.warps {
-				slot := arch.WarpID(i)
-				if group.Has(slot) && !sm.warps[i].done {
-					targets = append(targets, prefetch.Target{Slot: slot, Wid: sm.warps[i].wid})
-				}
+			for m := group & sm.allM &^ sm.doneM; m != 0; m &= m - 1 {
+				slot := m.Lowest()
+				targets = append(targets, prefetch.Target{Slot: slot, Wid: sm.warps[slot].wid})
 			}
 			sm.targetBuf = targets
 			reqs := sm.sap.OnGroupMiss(op.req.PC, op.wid, op.addr, targets, cycle)
@@ -815,10 +821,10 @@ func (sm *SM) enqueuePrefetches(reqs []prefetch.Request) {
 		if sm.l1.Contains(line) || sm.l1.InFlight(line) {
 			continue
 		}
-		if _, queued := sm.pfQueued[line]; queued {
+		if sm.pfQueued.Has(line) {
 			continue
 		}
-		if acc := sm.pfAcc[r.PC]; acc != nil && acc.blocked() {
+		if acc := sm.pfAccFor(r.PC); acc != nil && acc.blocked() {
 			sm.st.PrefetchDropped++
 			continue
 		}
@@ -826,7 +832,7 @@ func (sm *SM) enqueuePrefetches(reqs []prefetch.Request) {
 			sm.st.PrefetchDropped++
 			continue
 		}
-		sm.pfQueued[line] = struct{}{}
+		sm.pfQueued.Put(line, struct{}{})
 		if sm.pfHead > 0 && len(sm.pfQ) == cap(sm.pfQ) {
 			n := copy(sm.pfQ, sm.pfQ[sm.pfHead:])
 			sm.pfQ = sm.pfQ[:n]
@@ -857,10 +863,10 @@ func (sm *SM) processPrefetch(r prefetch.Request, cycle int64) bool {
 		return true
 	case arch.ResultMiss:
 		sm.st.PrefetchIssued++
-		acc := sm.pfAcc[req.PC]
+		acc := sm.pfAccFor(req.PC)
 		if acc == nil {
-			acc = &pfAccuracy{}
-			sm.pfAcc[req.PC] = acc
+			sm.pfAcc = append(sm.pfAcc, pfAccuracy{pc: req.PC})
+			acc = &sm.pfAcc[len(sm.pfAcc)-1]
 		}
 		acc.issued++
 		acc.decayIfFull()
@@ -870,8 +876,19 @@ func (sm *SM) processPrefetch(r prefetch.Request, cycle int64) bool {
 	return true
 }
 
+// pfAccFor returns pc's prefetch-accuracy record, or nil if the load has not
+// issued a prefetch yet.
+func (sm *SM) pfAccFor(pc arch.PC) *pfAccuracy {
+	for i := range sm.pfAcc {
+		if sm.pfAcc[i].pc == pc {
+			return &sm.pfAcc[i]
+		}
+	}
+	return nil
+}
+
 func (sm *SM) notePrefetchOutcome(pc arch.PC, good bool) {
-	acc := sm.pfAcc[pc]
+	acc := sm.pfAccFor(pc)
 	if acc == nil {
 		return
 	}
@@ -888,16 +905,13 @@ func (sm *SM) recordLoad(pc arch.PC, w arch.WarpID, addr arch.Addr, lines int) {
 		ls = &LoadStat{
 			PC:         pc,
 			StrideHist: make(map[int64]int64),
-			seen:       make(map[arch.LineAddr]struct{}),
 		}
 		sm.loadStats[pc] = ls
 	}
 	ls.Issues++
 	ls.Refs += int64(lines)
 	for i := 0; i < lines; i++ {
-		l := sm.lineBuf[i]
-		if _, ok := ls.seen[l]; !ok {
-			ls.seen[l] = struct{}{}
+		if !ls.seen.Put(sm.lineBuf[i], struct{}{}) {
 			ls.UniqueLines++
 		}
 	}

@@ -56,20 +56,28 @@ const (
 	evDRAMFill
 )
 
+// event is the payload of one scheduled L2-hit or DRAM-fill completion. It
+// lives in MemSystem.slab from push to pop; the heap orders eventKeys that
+// point at it, so a sift moves 24 bytes instead of the whole request.
 type event struct {
-	cycle     int64
-	seq       int64 // tie-break for deterministic ordering
 	kind      eventKind
 	partition int
 	line      arch.LineAddr
 	req       arch.MemReq // for evL2Hit
 }
 
+// eventKey is one heap entry: the pop order (cycle, then the push sequence
+// number as the deterministic tie-break) and the payload's slab slot.
+type eventKey struct {
+	cycle, seq int64
+	slot       int32
+}
+
 // eventHeap is a hand-rolled binary min-heap ordered by (cycle, seq).
-// container/heap would box every event through its interface{} methods —
+// container/heap would box every entry through its interface{} methods —
 // one allocation per push and pop on the simulator's hottest path — so the
 // sift operations are written out against the concrete slice instead.
-type eventHeap []event
+type eventHeap []eventKey
 
 func (h eventHeap) less(i, j int) bool {
 	if h[i].cycle != h[j].cycle {
@@ -78,8 +86,8 @@ func (h eventHeap) less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 
-func (h *eventHeap) push(e event) {
-	s := append(*h, e)
+func (h *eventHeap) push(k eventKey) {
+	s := append(*h, k)
 	for i := len(s) - 1; i > 0; {
 		p := (i - 1) / 2
 		if !s.less(i, p) {
@@ -91,7 +99,7 @@ func (h *eventHeap) push(e event) {
 	*h = s
 }
 
-func (h *eventHeap) pop() event {
+func (h *eventHeap) pop() eventKey {
 	s := *h
 	top := s[0]
 	n := len(s) - 1
@@ -118,9 +126,8 @@ func (h *eventHeap) pop() event {
 func (h eventHeap) peekCycle() int64 { return h[0].cycle }
 func (h eventHeap) empty() bool      { return len(h) == 0 }
 
-// peekKey names one heap event by its pop order and its index in the heap
-// array: the window lookahead sorts these 24-byte keys instead of copies of
-// the (>100-byte) events themselves.
+// peekKey names one heap entry by its pop order and its index in the heap
+// array (the window lookahead's walk needs the index to find the children).
 type peekKey struct {
 	cycle, seq int64
 	idx        int
@@ -143,9 +150,14 @@ type partition struct {
 
 // MemSystem is the GPU-shared L2 + DRAM model.
 type MemSystem struct {
-	cfg       config.Config
-	parts     []partition
-	events    eventHeap
+	cfg    config.Config
+	parts  []partition
+	events eventHeap
+	// slab holds the payloads of the events in the heap; freeSlots lists the
+	// slots whose event has popped. Both are bounded by the events in flight,
+	// so the steady state pushes and pops without allocating.
+	slab      []event
+	freeSlots []int32
 	seq       int64
 	st        *stats.Stats
 	returnLeg int64
@@ -172,7 +184,7 @@ type MemSystem struct {
 	// with a pop cycle after the request's cycle will merge into that fill,
 	// which is what lets a worker mirror its own merges into its response
 	// schedule without touching the shared MSHRs.
-	fillLines map[arch.LineAddr]fillRef
+	fillLines mem.LineTable[fillRef]
 	// peekKeys/peekSched are scratch for PeekWindowResponses, reused across
 	// calls like the responses slice.
 	peekKeys  []peekKey
@@ -200,6 +212,10 @@ func New(cfg config.Config, st *stats.Stats) *MemSystem {
 	}
 	return m
 }
+
+// L2 exposes partition p's L2 slice (for tests and end-of-run inspection,
+// like core.SM.L1).
+func (m *MemSystem) L2(p int) *mem.Cache { return m.parts[p].l2 }
 
 // PartitionOf returns the memory partition index for a line address.
 func (m *MemSystem) PartitionOf(l arch.LineAddr) int {
@@ -230,7 +246,7 @@ func (m *MemSystem) access(p int, req arch.MemReq, cycle int64) {
 	switch out.Result {
 	case arch.ResultHit:
 		m.st.GPUL2Hits++
-		m.push(event{cycle: cycle + int64(m.cfg.L2Latency), kind: evL2Hit, partition: p, line: req.Line, req: req})
+		m.push(cycle+int64(m.cfg.L2Latency), event{kind: evL2Hit, partition: p, line: req.Line, req: req})
 		if m.tr != nil {
 			m.tr.Emit(trace.Event{Kind: trace.KindL2Enter, Unit: int32(p),
 				Warp: int32(req.Warp), PC: uint32(req.PC), Line: uint64(req.Line),
@@ -252,7 +268,7 @@ func (m *MemSystem) access(p int, req arch.MemReq, cycle int64) {
 		start := max64(cycle, pt.nextFree)
 		pt.nextFree = start + int64(m.cfg.DRAMServiceInterval)
 		m.st.DRAMQueueCycles += start - cycle
-		m.push(event{cycle: start + int64(m.cfg.DRAMLatency), kind: evDRAMFill, partition: p, line: req.Line})
+		m.push(start+int64(m.cfg.DRAMLatency), event{kind: evDRAMFill, partition: p, line: req.Line})
 		if m.tr != nil {
 			m.tr.Emit(trace.Event{Kind: trace.KindL2Enter, Unit: int32(p),
 				Warp: int32(req.Warp), PC: uint32(req.PC), Line: uint64(req.Line),
@@ -271,16 +287,25 @@ func (m *MemSystem) access(p int, req arch.MemReq, cycle int64) {
 	}
 }
 
-func (m *MemSystem) push(e event) {
-	e.seq = m.seq
+// push schedules e to pop at cycle.
+func (m *MemSystem) push(cycle int64, e event) {
+	k := eventKey{cycle: cycle, seq: m.seq}
 	m.seq++
 	if e.kind == evL2Hit {
 		m.hitEvents++
 	} else if m.trackFills {
-		m.fillCycles = pushInt64(m.fillCycles, e.cycle)
-		m.fillLines[e.line] = fillRef{cycle: e.cycle, seq: e.seq}
+		m.fillCycles = pushInt64(m.fillCycles, cycle)
+		m.fillLines.Put(e.line, fillRef{cycle: cycle, seq: k.seq})
 	}
-	m.events.push(e)
+	if n := len(m.freeSlots); n > 0 {
+		k.slot = m.freeSlots[n-1]
+		m.freeSlots = m.freeSlots[:n-1]
+		m.slab[k.slot] = e
+	} else {
+		k.slot = int32(len(m.slab))
+		m.slab = append(m.slab, e)
+	}
+	m.events.push(k)
 }
 
 // pushInt64 inserts v into a binary min-heap of int64s.
@@ -319,21 +344,19 @@ func popInt64(h []int64) []int64 {
 	return h
 }
 
-// fillScratch is the TrackFills working set — the line map, the fill-cycle
+// fillScratch is the TrackFills working set — the line table, the fill-cycle
 // heap, and the window-lookahead scratch — pooled across
 // MemSystem instances so each parallel run reuses warmed capacity instead of
-// regrowing it from nil. No simulation state crosses runs: the map is
+// regrowing it from nil. No simulation state crosses runs: the table is
 // cleared and every slice reset to length zero on release.
 type fillScratch struct {
-	lines  map[arch.LineAddr]fillRef
+	lines  mem.LineTable[fillRef]
 	cycles []int64
 	keys   []peekKey
 	sched  []Scheduled
 }
 
-var fillScratchPool = sync.Pool{New: func() any {
-	return &fillScratch{lines: make(map[arch.LineAddr]fillRef)}
-}}
+var fillScratchPool = sync.Pool{New: func() any { return new(fillScratch) }}
 
 // TrackFills enables (or disables) the fill mirrors behind NextFillCycle
 // and FillFor. The parallel engine turns it on at run
@@ -350,11 +373,12 @@ func (m *MemSystem) TrackFills(on bool) {
 		m.scratch = fs
 	} else if !on && m.trackFills && m.scratch != nil {
 		fs := m.scratch
-		clear(fs.lines)
+		m.fillLines.Clear()
+		fs.lines = m.fillLines
 		fs.cycles = m.fillCycles[:0]
 		fs.keys = m.peekKeys[:0]
 		fs.sched = m.peekSched[:0]
-		m.fillLines, m.fillCycles = nil, nil
+		m.fillLines, m.fillCycles = mem.LineTable[fillRef]{}, nil
 		m.peekKeys, m.peekSched = nil, nil
 		m.scratch = nil
 		fillScratchPool.Put(fs)
@@ -401,7 +425,7 @@ func (m *MemSystem) PendingRetries() bool {
 // fill pops, so "present here with cycle > request cycle" is exactly the
 // serial merge condition.
 func (m *MemSystem) FillFor(l arch.LineAddr) (cycle, seq int64, ok bool) {
-	ref, ok := m.fillLines[l]
+	ref, ok := m.fillLines.Get(l)
 	return ref.cycle, ref.seq, ok
 }
 
@@ -446,18 +470,18 @@ func (m *MemSystem) PeekWindowResponses(upTo int64) []Scheduled {
 	m.peekKeys = keys
 	m.peekSched = m.peekSched[:0]
 	for _, k := range keys {
-		e := &m.events[k.idx]
+		e := &m.slab[m.events[k.idx].slot]
 		switch e.kind {
 		case evL2Hit:
 			m.peekSched = append(m.peekSched, Scheduled{
-				EnqueueCycle: e.cycle, Seq: e.seq,
-				Resp: Response{Req: e.req, ReadyCycle: e.cycle},
+				EnqueueCycle: k.cycle, Seq: k.seq,
+				Resp: Response{Req: e.req, ReadyCycle: k.cycle},
 			})
 		case evDRAMFill:
-			ready := e.cycle + m.returnLeg
+			ready := k.cycle + m.returnLeg
 			for _, w := range m.parts[e.partition].l2.MSHRWaiters(e.line) {
 				m.peekSched = append(m.peekSched, Scheduled{
-					EnqueueCycle: e.cycle, Seq: e.seq,
+					EnqueueCycle: k.cycle, Seq: k.seq,
 					Resp: Response{Req: w, ReadyCycle: ready},
 				})
 			}
@@ -488,33 +512,35 @@ func (m *MemSystem) Tick(cycle int64) []Response {
 		pt.pending = pt.pending[:n]
 	}
 	for !m.events.empty() && m.events.peekCycle() <= cycle {
-		e := m.events.pop()
-		if e.kind == evL2Hit {
-			m.hitEvents--
-		}
+		k := m.events.pop()
+		// The slot is free from here on, but nothing below pushes: e stays
+		// valid until the next Request or retry.
+		e := &m.slab[k.slot]
+		m.freeSlots = append(m.freeSlots, k.slot)
 		switch e.kind {
 		case evL2Hit:
-			m.responses = append(m.responses, Response{Req: e.req, ReadyCycle: e.cycle})
+			m.hitEvents--
+			m.responses = append(m.responses, Response{Req: e.req, ReadyCycle: k.cycle})
 			if m.tr != nil {
 				m.tr.Emit(trace.Event{Kind: trace.KindL2Leave, Unit: int32(e.partition),
 					Warp: int32(e.req.Warp), PC: uint32(e.req.PC), Line: uint64(e.line)})
 			}
 		case evDRAMFill:
 			if m.trackFills {
-				delete(m.fillLines, e.line)
+				m.fillLines.Delete(e.line)
 				// Eagerly discharge mirror entries this pop retires, so the
 				// heap stays bounded by fills in flight instead of growing for
 				// the whole run (NextFillCycle still discards lazily for
 				// entries retired between queries).
-				for len(m.fillCycles) > 0 && m.fillCycles[0] <= e.cycle {
+				for len(m.fillCycles) > 0 && m.fillCycles[0] <= k.cycle {
 					m.fillCycles = popInt64(m.fillCycles)
 				}
 			}
-			fill := m.parts[e.partition].l2.Fill(e.line, e.cycle)
+			fill := m.parts[e.partition].l2.Fill(e.line, k.cycle)
 			if fill.Entry == nil {
 				continue
 			}
-			ready := e.cycle + m.returnLeg
+			ready := k.cycle + m.returnLeg
 			for _, w := range fill.Entry.Waiters {
 				m.responses = append(m.responses, Response{Req: w, ReadyCycle: ready})
 			}

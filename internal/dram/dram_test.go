@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"math/rand"
 	"testing"
 
 	"apres/internal/arch"
@@ -188,6 +189,7 @@ func TestPeekWindowMatchesTick(t *testing.T) {
 	start := int64(cfg.DRAMLatency+8*cfg.DRAMServiceInterval) + 1 + 96/4
 	for _, width := range []int64{0, 1, 50, int64(cfg.L2Latency), int64(cfg.DRAMLatency), 4 * int64(cfg.DRAMLatency)} {
 		m := load()
+		checkEventSlab(t, m)
 		upTo := start + width
 		peek := append([]Scheduled(nil), m.PeekWindowResponses(upTo)...)
 		again := m.PeekWindowResponses(upTo)
@@ -218,5 +220,103 @@ func TestPeekWindowMatchesTick(t *testing.T) {
 		if width == 4*int64(cfg.DRAMLatency) && len(peek) != 96 {
 			t.Errorf("the widest window should see all 96 loads answered, saw %d", len(peek))
 		}
+		checkEventSlab(t, m)
+	}
+}
+
+// checkEventSlab verifies the key-heap/payload-slab split: every heap key
+// owns a slab slot nobody else has, and every other slot is on the free list
+// exactly once.
+func checkEventSlab(t *testing.T, m *MemSystem) {
+	t.Helper()
+	owner := make([]string, len(m.slab))
+	claim := func(slot int32, who string) {
+		if slot < 0 || int(slot) >= len(m.slab) {
+			t.Fatalf("%s names slot %d outside the %d-slot slab", who, slot, len(m.slab))
+		}
+		if owner[slot] != "" {
+			t.Fatalf("slot %d is held by both %s and %s", slot, owner[slot], who)
+		}
+		owner[slot] = who
+	}
+	for _, k := range m.events {
+		claim(k.slot, "a live event")
+	}
+	for _, s := range m.freeSlots {
+		claim(s, "the free list")
+	}
+	for slot, who := range owner {
+		if who == "" {
+			t.Fatalf("slot %d is neither live nor free", slot)
+		}
+	}
+}
+
+// TestEventSlabReuseNeverAliasesLivePayload interleaves pushes and pops for
+// long enough that every slab slot is recycled many times, with every request
+// carrying a unique tag. A payload overwritten while its key was still in the
+// heap would answer the wrong request (or one twice); each load must instead
+// come back exactly once, intact, and the lookahead must keep agreeing with
+// Tick while slots churn.
+func TestEventSlabReuseNeverAliasesLivePayload(t *testing.T) {
+	cfg := testConfig()
+	var st stats.Stats
+	m := New(cfg, &st)
+	rng := rand.New(rand.NewSource(11))
+	pending := map[arch.MemReq]bool{}
+	issued, peakInFlight := 0, 0
+	drain := int64(4 * (cfg.DRAMLatency + cfg.L2Latency))
+	for c := int64(0); c < 6000+drain; c++ {
+		var peek []Scheduled
+		if c%37 == 0 {
+			peek = append(peek, m.PeekWindowResponses(c)...)
+		}
+		resp := m.Tick(c)
+		if c%37 == 0 {
+			if len(peek) != len(resp) {
+				t.Fatalf("cycle %d: peek lists %d responses, tick produced %d", c, len(peek), len(resp))
+			}
+			for i := range resp {
+				if peek[i].Resp != resp[i] {
+					t.Fatalf("cycle %d: response %d: peek %+v, tick %+v", c, i, peek[i].Resp, resp[i])
+				}
+			}
+		}
+		for _, r := range resp {
+			if !pending[r.Req] {
+				t.Fatalf("cycle %d: response for %+v, which is not outstanding (answered twice, or a recycled payload)", c, r.Req)
+			}
+			delete(pending, r.Req)
+			// The fastest answer is a merge into a fill about to pop.
+			if r.ReadyCycle <= r.Req.IssueCycle+m.ReturnLeg() {
+				t.Fatalf("response %+v ready before the return leg alone allows", r)
+			}
+		}
+		// Bursts and lulls: the heap fills, drains to empty, and refills, so
+		// the free list is used from both ends of its length.
+		if c < 6000 && (c/300)%2 == 0 {
+			for n := rng.Intn(4); n > 0; n-- {
+				req := arch.MemReq{
+					Line: arch.LineAddr(rng.Intn(3000)), Kind: arch.AccessLoad,
+					SM: rng.Intn(15), Warp: arch.WarpID(rng.Intn(48)),
+					PC: arch.PC(issued), IssueCycle: c, // PC makes every request unique
+				}
+				issued++
+				pending[req] = true
+				m.Request(req, c)
+			}
+		}
+		peakInFlight = max(peakInFlight, len(m.events))
+		if c%101 == 0 {
+			checkEventSlab(t, m)
+		}
+	}
+	if len(pending) != 0 || !m.Drained() {
+		t.Fatalf("%d of %d loads never answered (drained=%v)", len(pending), issued, m.Drained())
+	}
+	checkEventSlab(t, m)
+	if len(m.slab) > peakInFlight || issued < 10*len(m.slab) {
+		t.Fatalf("slab grew to %d slots for a peak of %d events in flight (%d issued): slots are not being reused",
+			len(m.slab), peakInFlight, issued)
 	}
 }

@@ -261,7 +261,7 @@ func (g *GPU) RunContext(ctx context.Context, kernName string) (Result, error) {
 		for _, r := range g.memSys.Tick(cycle) {
 			g.net.Enqueue(r)
 		}
-		allDone := true
+		allDone, anyBusy := true, false
 		for i, sm := range g.sms {
 			resp := g.net.Deliver(i, cycle)
 			for _, r := range resp {
@@ -278,9 +278,8 @@ func (g *GPU) RunContext(ctx context.Context, kernName string) (Result, error) {
 				sm.SkipIdle(cycle, cycle)
 				continue
 			}
-			sm.Tick(cycle)
-			if !g.noSkip {
-				g.lanes[i].wake = sm.NextWakeup(cycle)
+			if g.tickSM(i, cycle) {
+				anyBusy = true
 			}
 		}
 		if g.timelineInterval > 0 && cycle%g.timelineInterval == 0 {
@@ -292,11 +291,30 @@ func (g *GPU) RunContext(ctx context.Context, kernName string) (Result, error) {
 		if allDone && g.memSys.Drained() && !g.net.Pending() {
 			break
 		}
-		if !g.noSkip {
+		if !g.noSkip && !anyBusy {
+			// A busy SM pins the next cycle; skipTo would find that out from
+			// its wake bound and return at once.
 			cycle = g.skipTo(cycle, maxCycles)
 		}
 	}
 	return g.finish(kernName, cycle, hitMax), nil
+}
+
+// tickSM ticks SM i, refreshes its cached wakeup bound and passes on Tick's
+// busy report. A busy tick (see core.SM.Tick) means "tick again next cycle"
+// with no further question; only after an idle tick is the bound worth
+// computing, so a run at full occupancy pays next to nothing for the ability
+// to skip.
+func (g *GPU) tickSM(i int, cycle int64) (busy bool) {
+	busy = g.sms[i].Tick(cycle)
+	if !g.noSkip {
+		wake := cycle + 1
+		if !busy {
+			wake = g.sms[i].NextWakeup(cycle)
+		}
+		g.lanes[i].wake = wake
+	}
+	return busy
 }
 
 // finish assembles the Result once the run loop (serial or parallel) has

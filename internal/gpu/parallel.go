@@ -599,10 +599,7 @@ func (e *parallelEngine) advanceSM(i int, from, to int64) {
 		if e.traced {
 			g.parTr[i].Advance(c)
 		}
-		sm.Tick(c)
-		if !g.noSkip {
-			ln.wake = sm.NextWakeup(c)
-		}
+		g.tickSM(i, c)
 		if e.deliver {
 			// Mirror merges: a request issued this cycle to a line whose
 			// frozen fill pops at t in (c, to] will merge into it at the
@@ -1099,10 +1096,7 @@ func (g *GPU) runParallel(ctx context.Context, kernName string) (Result, error) 
 					sm.SkipIdle(cycle, cycle)
 					continue
 				}
-				sm.Tick(cycle)
-				if !g.noSkip {
-					g.lanes[i].wake = sm.NextWakeup(cycle)
-				}
+				g.tickSM(i, cycle)
 			}
 			e.drainStep()
 			if g.timelineInterval > 0 && cycle%g.timelineInterval == 0 {

@@ -124,7 +124,9 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Addr returns the byte address accessed by the given lane.
+// Addr returns the byte address accessed by the given lane. It is the
+// definition of the address function; LaneAddrs computes the same values a
+// warp at a time.
 func (p Pattern) Addr(sm int, warp arch.WarpID, iter, lane int) arch.Addr {
 	if p.Table != nil {
 		base, size := p.Table.At(warp, iter)
@@ -137,28 +139,6 @@ func (p Pattern) Addr(sm int, warp arch.WarpID, iter, lane int) arch.Addr {
 	if p.WarpShare > 1 {
 		warp /= arch.WarpID(p.WarpShare)
 	}
-	var off int64
-	if p.Random {
-		h := splitmix64(p.Seed ^ splitmix64(uint64(warp)<<32^uint64(iter)))
-		if p.WrapBytes > 0 {
-			off = int64(h%uint64(p.WrapBytes)) &^ (arch.LineSizeBytes - 1)
-		}
-	} else {
-		iterOff := int64(iter) * p.IterStride
-		if p.IterWrapBytes > 0 {
-			iterOff %= p.IterWrapBytes
-			if iterOff < 0 {
-				iterOff += p.IterWrapBytes
-			}
-		}
-		off = int64(warp)*p.WarpStride + iterOff
-		if p.WrapBytes > 0 {
-			off %= p.WrapBytes
-			if off < 0 {
-				off += p.WrapBytes
-			}
-		}
-	}
 	var laneOff int64
 	if p.LaneRandom {
 		h := splitmix64(p.Seed ^ 0xabcd ^ splitmix64(uint64(warp)<<40^uint64(iter)<<8^uint64(lane)))
@@ -168,17 +148,64 @@ func (p Pattern) Addr(sm int, warp arch.WarpID, iter, lane int) arch.Addr {
 	} else {
 		laneOff = int64(lane) * p.LaneStride
 	}
-	addr := int64(p.Base) + int64(sm)*p.SMStride + off + laneOff
+	addr := int64(p.Base) + int64(sm)*p.SMStride + p.warpOffset(warp, iter) + laneOff
 	if addr < 0 {
 		addr = -addr
 	}
 	return arch.Addr(addr)
 }
 
-// LaneAddrs fills dst (len arch.WarpSize) with all lane addresses.
-func (p Pattern) LaneAddrs(dst []arch.Addr, sm int, warp arch.WarpID, iter int) {
+// warpOffset is the lane-invariant warp/iteration term of the address: the
+// Random hash, or the linear term with its two wraps. warp is the warp ID
+// after WarpShare division.
+func (p *Pattern) warpOffset(warp arch.WarpID, iter int) int64 {
+	if p.Random {
+		h := splitmix64(p.Seed ^ splitmix64(uint64(warp)<<32^uint64(iter)))
+		if p.WrapBytes > 0 {
+			return int64(h%uint64(p.WrapBytes)) &^ (arch.LineSizeBytes - 1)
+		}
+		return 0
+	}
+	iterOff := int64(iter) * p.IterStride
+	if p.IterWrapBytes > 0 {
+		iterOff %= p.IterWrapBytes
+		if iterOff < 0 {
+			iterOff += p.IterWrapBytes
+		}
+	}
+	off := int64(warp)*p.WarpStride + iterOff
+	if p.WrapBytes > 0 {
+		off %= p.WrapBytes
+		if off < 0 {
+			off += p.WrapBytes
+		}
+	}
+	return off
+}
+
+// LaneAddrs fills dst (len arch.WarpSize) with all lane addresses: dst[lane]
+// == Addr(sm, warp, iter, lane). It runs once per issued memory instruction,
+// so the pattern is taken by pointer and, where the lanes differ only by
+// lane*LaneStride, everything else is computed once for the warp. Table
+// replay and LaneRandom patterns have no such split and go lane by lane.
+func (p *Pattern) LaneAddrs(dst []arch.Addr, sm int, warp arch.WarpID, iter int) {
+	if p.Table != nil || p.LaneRandom {
+		for lane := range dst {
+			dst[lane] = p.Addr(sm, warp, iter, lane)
+		}
+		return
+	}
+	if p.WarpShare > 1 {
+		warp /= arch.WarpID(p.WarpShare)
+	}
+	addr := int64(p.Base) + int64(sm)*p.SMStride + p.warpOffset(warp, iter)
 	for lane := range dst {
-		dst[lane] = p.Addr(sm, warp, iter, lane)
+		a := addr
+		if a < 0 {
+			a = -a
+		}
+		dst[lane] = arch.Addr(a)
+		addr += p.LaneStride
 	}
 }
 

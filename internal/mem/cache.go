@@ -115,7 +115,9 @@ type Cache struct {
 	sets    []line // numSets*ways, flattened
 
 	mshrMax int
-	mshr    map[arch.LineAddr]*MSHREntry
+	// mshr indexes the in-flight entries by line. Access admits a new entry
+	// only below mshrMax, so the table — sized for mshrMax — never grows.
+	mshr LineTable[*MSHREntry]
 	// retired holds entries removed from mshr by Fill whose caller may
 	// still be reading them; the next Access or Fill moves them to free
 	// for reuse. Entries are never retained across cache calls (both the
@@ -125,22 +127,26 @@ type Cache struct {
 	retired []*MSHREntry
 	free    []*MSHREntry
 
-	// everSeen supports cold vs capacity+conflict classification.
-	everSeen map[arch.LineAddr]struct{}
+	// everSeen supports cold vs capacity+conflict classification (L1 only,
+	// see lowerLevel); it only ever grows.
+	everSeen LineTable[struct{}]
 	// evictedUnusedPF holds prefetched lines evicted before use; a later
 	// demand for such a line proves the prefetch correct (early
-	// eviction), otherwise the prefetch was useless.
-	evictedUnusedPF map[arch.LineAddr]struct{}
+	// eviction), otherwise the prefetch was useless (L1 only).
+	evictedUnusedPF LineTable[struct{}]
 
 	// lastDemandWasHit supports the hit-after-hit breakdown.
 	lastDemandWasHit bool
 	hasLastDemand    bool
 
-	// prefetchAsDemand makes Access treat prefetch requests as ordinary
-	// reads. The L1 drops prefetches for resident or in-flight lines,
-	// but once a prefetch is forwarded below the L1 it is a real read
-	// that must return data, so L2 slices set this.
-	prefetchAsDemand bool
+	// lowerLevel marks an L2 slice. Access then treats prefetch requests as
+	// ordinary reads: the L1 drops prefetches for resident or in-flight
+	// lines, but once a prefetch is forwarded below the L1 it is a real read
+	// that must return data. And the L1-only bookkeeping — miss classes and
+	// the early-eviction set — is not kept: the memory system reads nothing
+	// of an Outcome but its Result, so Class stays MissNone and
+	// ProvesEarlyEviction false.
+	lowerLevel bool
 
 	// tr, when non-nil, receives cache and MSHR events; trUnit is the
 	// owning SM's index. Only L1 instances are traced (the SM attaches the
@@ -158,10 +164,10 @@ func (c *Cache) SetTracer(tr *trace.Tracer, unit int32) {
 
 // NewL2Cache builds a cache slice for the shared L2: identical to NewCache
 // except that prefetch requests are serviced like demand reads instead of
-// being dropped when resident.
+// being dropped when resident, and misses are not classified.
 func NewL2Cache(name string, sizeBytes, ways, mshrs int) *Cache {
 	c := NewCache(name, sizeBytes, ways, mshrs)
-	c.prefetchAsDemand = true
+	c.lowerLevel = true
 	return c
 }
 
@@ -173,14 +179,12 @@ func NewCache(name string, sizeBytes, ways, mshrs int) *Cache {
 		panic(fmt.Sprintf("mem: bad cache geometry %s: %dB %d-way", name, sizeBytes, ways))
 	}
 	return &Cache{
-		name:            name,
-		numSets:         lines / ways,
-		ways:            ways,
-		sets:            make([]line, lines),
-		mshrMax:         mshrs,
-		mshr:            make(map[arch.LineAddr]*MSHREntry),
-		everSeen:        make(map[arch.LineAddr]struct{}),
-		evictedUnusedPF: make(map[arch.LineAddr]struct{}),
+		name:    name,
+		numSets: lines / ways,
+		ways:    ways,
+		sets:    make([]line, lines),
+		mshrMax: mshrs,
+		mshr:    NewLineTable[*MSHREntry](mshrs),
 	}
 }
 
@@ -194,7 +198,7 @@ func (c *Cache) Sets() int { return c.numSets }
 func (c *Cache) Ways() int { return c.ways }
 
 // MSHRCount returns the number of in-flight MSHR entries.
-func (c *Cache) MSHRCount() int { return len(c.mshr) }
+func (c *Cache) MSHRCount() int { return c.mshr.Len() }
 
 // MSHRMax returns the MSHR file capacity.
 func (c *Cache) MSHRMax() int { return c.mshrMax }
@@ -219,17 +223,14 @@ func (c *Cache) lookup(l arch.LineAddr) *line {
 func (c *Cache) Contains(l arch.LineAddr) bool { return c.lookup(l) != nil }
 
 // InFlight reports whether line l has an outstanding MSHR entry.
-func (c *Cache) InFlight(l arch.LineAddr) bool {
-	_, ok := c.mshr[l]
-	return ok
-}
+func (c *Cache) InFlight(l arch.LineAddr) bool { return c.mshr.Has(l) }
 
 // MSHRWaiters returns the waiter list of the outstanding entry for line l,
 // or nil when none is in flight. Read-only peek for the memory system's
 // epoch lookahead; the slice aliases the live entry and must not be held
 // across an Access or Fill.
 func (c *Cache) MSHRWaiters(l arch.LineAddr) []arch.MemReq {
-	if e, ok := c.mshr[l]; ok {
+	if e, ok := c.mshr.Get(l); ok {
 		return e.Waiters
 	}
 	return nil
@@ -247,7 +248,7 @@ func (c *Cache) MSHRWaiters(l arch.LineAddr) []arch.MemReq {
 // PrefetchDropped); otherwise it allocates a prefetch-flagged MSHR entry.
 func (c *Cache) Access(req arch.MemReq, cycle int64) Outcome {
 	c.recycleRetired()
-	isDemand := req.Kind != arch.AccessPrefetch || c.prefetchAsDemand
+	isDemand := req.Kind != arch.AccessPrefetch || c.lowerLevel
 	if ln := c.lookup(req.Line); ln != nil {
 		out := Outcome{Result: arch.ResultHit}
 		if isDemand {
@@ -265,7 +266,7 @@ func (c *Cache) Access(req arch.MemReq, cycle int64) Outcome {
 		}
 		return out
 	}
-	if e, ok := c.mshr[req.Line]; ok {
+	if e, ok := c.mshr.Get(req.Line); ok {
 		out := Outcome{Result: arch.ResultMergedMSHR, Entry: e}
 		if isDemand {
 			e.Waiters = append(e.Waiters, req)
@@ -273,7 +274,9 @@ func (c *Cache) Access(req arch.MemReq, cycle int64) Outcome {
 				e.DemandMerged = true
 				out.MergedIntoPrefetch = true
 			}
-			out.Class = c.classify(req.Line)
+			if !c.lowerLevel {
+				out.Class = missClass(c.everSeen.Has(req.Line))
+			}
 			c.noteDemand(false)
 			if c.tr != nil {
 				var arg int64
@@ -286,7 +289,7 @@ func (c *Cache) Access(req arch.MemReq, cycle int64) Outcome {
 		}
 		return out
 	}
-	if len(c.mshr) >= c.mshrMax {
+	if c.mshr.Len() >= c.mshrMax {
 		return Outcome{Result: arch.ResultStall}
 	}
 	e := c.newEntry()
@@ -299,17 +302,22 @@ func (c *Cache) Access(req arch.MemReq, cycle int64) Outcome {
 		Waiters:    e.Waiters[:0],
 	}
 	out := Outcome{Result: arch.ResultMiss, Entry: e}
+	c.mshr.Put(req.Line, e)
 	if isDemand {
 		e.Waiters = append(e.Waiters, req)
-		out.Class = c.classify(req.Line)
-		if _, evicted := c.evictedUnusedPF[req.Line]; evicted {
-			out.ProvesEarlyEviction = true
-			delete(c.evictedUnusedPF, req.Line)
-		}
 		c.noteDemand(false)
 	}
-	c.mshr[req.Line] = e
-	c.everSeen[req.Line] = struct{}{}
+	if !c.lowerLevel {
+		seen := c.everSeen.Put(req.Line, struct{}{})
+		if isDemand {
+			out.Class = missClass(seen)
+			// The set is empty unless a prefetcher is running and losing
+			// lines, so most misses skip the probe.
+			if c.evictedUnusedPF.Len() > 0 {
+				_, out.ProvesEarlyEviction = c.evictedUnusedPF.Delete(req.Line)
+			}
+		}
+	}
 	if c.tr != nil {
 		if isDemand {
 			var class int64
@@ -325,14 +333,15 @@ func (c *Cache) Access(req arch.MemReq, cycle int64) Outcome {
 		}
 		c.tr.Emit(trace.Event{Kind: trace.KindMSHRAlloc, Unit: c.trUnit,
 			Warp: int32(req.Warp), PC: uint32(req.PC), Line: uint64(req.Line),
-			Arg: int64(len(c.mshr))})
+			Arg: int64(c.mshr.Len())})
 	}
 	return out
 }
 
-// classify implements Section III.A's cold vs capacity+conflict split.
-func (c *Cache) classify(l arch.LineAddr) arch.MissClass {
-	if _, seen := c.everSeen[l]; seen {
+// missClass implements Section III.A's cold vs capacity+conflict split: a
+// miss on a line that missed before is a capacity or conflict miss.
+func missClass(seenBefore bool) arch.MissClass {
+	if seenBefore {
 		return arch.MissCapacityConflict
 	}
 	return arch.MissCold
@@ -377,9 +386,8 @@ func (c *Cache) newEntry() *MSHREntry {
 func (c *Cache) Fill(l arch.LineAddr, cycle int64) FillOutcome {
 	c.recycleRetired()
 	var out FillOutcome
-	e := c.mshr[l]
+	e, _ := c.mshr.Delete(l)
 	if e != nil {
-		delete(c.mshr, l)
 		c.retired = append(c.retired, e)
 		out.Entry = e
 		out.PrefetchPC = e.PC
@@ -389,7 +397,7 @@ func (c *Cache) Fill(l arch.LineAddr, cycle int64) FillOutcome {
 		if c.tr != nil {
 			c.tr.Emit(trace.Event{Kind: trace.KindMSHRRetire, Unit: c.trUnit,
 				Warp: int32(e.Owner), PC: uint32(e.PC), Line: uint64(l),
-				Arg: int64(len(c.mshr))})
+				Arg: int64(c.mshr.Len())})
 			if e.Prefetch {
 				var arg int64
 				if e.DemandMerged {
@@ -423,7 +431,9 @@ func (c *Cache) Fill(l arch.LineAddr, cycle int64) FillOutcome {
 		if victim.prefetched && !victim.used {
 			out.VictimUnusedPrefetch = true
 			out.VictimPrefetchPC = victim.pfPC
-			c.evictedUnusedPF[victim.tag] = struct{}{}
+			if !c.lowerLevel {
+				c.evictedUnusedPF.Put(victim.tag, struct{}{})
+			}
 		}
 		if c.tr != nil {
 			var arg int64
@@ -460,18 +470,23 @@ func (c *Cache) Fill(l arch.LineAddr, cycle int64) FillOutcome {
 // UnresolvedEarlyEvictions returns the number of prefetched lines evicted
 // unused whose prediction was never proven by a later demand: these are the
 // useless prefetches counted at the end of a simulation.
-func (c *Cache) UnresolvedEarlyEvictions() int { return len(c.evictedUnusedPF) }
+func (c *Cache) UnresolvedEarlyEvictions() int { return c.evictedUnusedPF.Len() }
 
-// Reset clears all content, MSHRs and classification state.
+// LinesEverMissed returns the size of the miss-classification set: the
+// distinct lines that have allocated an MSHR entry here. Always 0 for an L2
+// slice, which keeps none.
+func (c *Cache) LinesEverMissed() int { return c.everSeen.Len() }
+
+// Reset clears all content, MSHRs and classification state in place: the
+// tables keep their slot arrays and every MSHR entry goes back on the free
+// list, so a reset cache replays an access sequence without allocating.
 func (c *Cache) Reset() {
-	for i := range c.sets {
-		c.sets[i] = line{}
-	}
-	c.mshr = make(map[arch.LineAddr]*MSHREntry)
-	c.everSeen = make(map[arch.LineAddr]struct{})
-	c.evictedUnusedPF = make(map[arch.LineAddr]struct{})
-	c.retired = c.retired[:0]
-	c.free = c.free[:0]
+	clear(c.sets)
+	c.recycleRetired()
+	c.mshr.Each(func(_ arch.LineAddr, e *MSHREntry) { c.free = append(c.free, e) })
+	c.mshr.Clear()
+	c.everSeen.Clear()
+	c.evictedUnusedPF.Clear()
 	c.hasLastDemand = false
 	c.lastDemandWasHit = false
 }

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -282,5 +283,111 @@ func TestQuickColdOnlyOnFirstTouch(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// traceStep is one Access outcome and, when a fill followed it, the fill's.
+type traceStep struct {
+	acc  Outcome
+	fill FillOutcome
+}
+
+// accessTrace replays a fixed mixed sequence — demand misses, prefetches,
+// merges, fills that evict unused prefetched lines, re-demands that prove
+// early eviction — and returns every outcome. Entry pointers are dropped:
+// they differ from run to run, the outcomes must not.
+func accessTrace(c *Cache) []traceStep {
+	var steps []traceStep
+	rng := rand.New(rand.NewSource(5))
+	var inflight []arch.LineAddr
+	for cycle := int64(0); cycle < 4000; cycle++ {
+		l := arch.LineAddr(rng.Intn(96))
+		req := load(l)
+		if rng.Intn(3) == 0 {
+			req = prefetch(l)
+		}
+		st := traceStep{acc: c.Access(req, cycle)}
+		st.acc.Entry = nil
+		if st.acc.Result == arch.ResultMiss {
+			inflight = append(inflight, l)
+		}
+		if len(inflight) > 0 && (st.acc.Result == arch.ResultStall || rng.Intn(2) == 0) {
+			st.fill = c.Fill(inflight[0], cycle)
+			st.fill.Entry = nil
+			inflight = inflight[1:]
+		}
+		steps = append(steps, st)
+	}
+	return steps
+}
+
+// TestResetReplaysWithoutReallocating: after Reset the same access sequence
+// produces the same outcomes, out of the tables and MSHR entries the first
+// pass left behind.
+func TestResetReplaysWithoutReallocating(t *testing.T) {
+	c := NewCache("L1", 2*1024, 2, 8) // 16 lines: evictions and stalls aplenty
+	first := accessTrace(c)
+	var early, capconf int
+	for _, st := range first {
+		if st.acc.ProvesEarlyEviction {
+			early++
+		}
+		if st.acc.Class == arch.MissCapacityConflict {
+			capconf++
+		}
+	}
+	if early == 0 || capconf == 0 {
+		t.Fatalf("trace exercises too little: %d early evictions, %d capacity misses", early, capconf)
+	}
+	c.Reset()
+	if c.MSHRCount() != 0 || c.LinesEverMissed() != 0 || c.UnresolvedEarlyEvictions() != 0 {
+		t.Fatal("Reset left MSHR or classification state behind")
+	}
+	second := accessTrace(c)
+	if len(first) != len(second) {
+		t.Fatalf("replay produced %d outcomes, first pass %d", len(second), len(first))
+	}
+	for i := range first {
+		if first[i] != second[i] {
+			t.Fatalf("outcome %d differs after Reset: %+v vs %+v", i, second[i], first[i])
+		}
+	}
+	if n := testing.AllocsPerRun(3, func() {
+		c.Reset()
+		for cycle := int64(0); cycle < 64; cycle++ {
+			l := arch.LineAddr(cycle % 24)
+			if out := c.Access(load(l), cycle); out.Result == arch.ResultMiss {
+				c.Fill(l, cycle)
+			}
+		}
+	}); n != 0 {
+		t.Fatalf("Reset + replay allocated %v times per run", n)
+	}
+}
+
+// TestL2SliceKeepsNoL1State: an L2 slice serves prefetch-allocated lines and
+// evicts them unused without recording any of it.
+func TestL2SliceKeepsNoL1State(t *testing.T) {
+	c := NewL2Cache("L2", 2*1024, 2, 8)
+	for i := 0; i < 200; i++ {
+		l := arch.LineAddr(i)
+		out := c.Access(prefetch(l), int64(i))
+		if out.Result != arch.ResultMiss || out.Class != arch.MissNone || out.ProvesEarlyEviction {
+			t.Fatalf("line %d: %+v, want an unclassified miss", l, out)
+		}
+		c.Fill(l, int64(i))
+	}
+	for i := 0; i < 200; i++ { // every line was evicted unused; re-demand them
+		out := c.Access(load(arch.LineAddr(i)), int64(1000+i))
+		if out.Class != arch.MissNone || out.ProvesEarlyEviction {
+			t.Fatalf("re-demand of line %d: %+v, want no classification", i, out)
+		}
+		if out.Result == arch.ResultMiss {
+			c.Fill(arch.LineAddr(i), int64(1000+i))
+		}
+	}
+	if c.LinesEverMissed() != 0 || c.UnresolvedEarlyEvictions() != 0 {
+		t.Fatalf("L2 slice tracked %d seen lines, %d evicted prefetches; want none",
+			c.LinesEverMissed(), c.UnresolvedEarlyEvictions())
 	}
 }

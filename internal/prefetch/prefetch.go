@@ -33,7 +33,9 @@ type Prefetcher interface {
 	// OnAccess observes a demand load (lead line address after
 	// coalescing) and returns prefetches to inject. wid is the logical
 	// warp ID (used for inter-warp stride arithmetic); slot the hardware
-	// warp slot (used to attribute the returned requests).
+	// warp slot (used to attribute the returned requests). The returned
+	// slice may be reused by the next call: consume it before calling
+	// again (the core copies it into its prefetch queue at once).
 	OnAccess(pc arch.PC, wid, slot arch.WarpID, addr arch.Addr, hit bool) []Request
 }
 
@@ -74,6 +76,7 @@ type STR struct {
 	entries []strEntry
 	degree  int
 	tick    int64
+	reqs    []Request // OnAccess's result buffer, reused across calls
 }
 
 // NewSTR builds an STR prefetcher with the given table size and prefetch
@@ -120,15 +123,15 @@ func (p *STR) OnAccess(pc arch.PC, wid, slot arch.WarpID, addr arch.Addr, hit bo
 	if !e.strideOK || stride == 0 {
 		return nil
 	}
-	reqs := make([]Request, 0, p.degree)
+	p.reqs = p.reqs[:0]
 	for k := 1; k <= p.degree; k++ {
 		a := int64(addr) + stride*int64(k)
 		if a < 0 {
 			continue
 		}
-		reqs = append(reqs, Request{Addr: arch.Addr(a), Warp: slot, PC: pc})
+		p.reqs = append(p.reqs, Request{Addr: arch.Addr(a), Warp: slot, PC: pc})
 	}
-	return reqs
+	return p.reqs
 }
 
 func (p *STR) lookup(pc arch.PC) *strEntry {

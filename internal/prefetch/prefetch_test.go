@@ -1,6 +1,9 @@
 package prefetch
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -275,5 +278,86 @@ func TestQuickSAPAddressArithmetic(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSAPNearestTargetsMatchSortSlice holds OnGroupMiss's closest-warps
+// selection (a reused buffer sorted with slices.SortFunc) to the definition
+// it replaced: a fresh copy of the group ordered by sort.Slice on (distance
+// to the missing warp, logical ID), cut to maxTargetsPerEvent. The second
+// call of each pair must not allocate.
+func TestSAPNearestTargetsMatchSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	p := NewSAP(10, 32, true)
+	const pc, stride = 0x40, 4352
+	addrOf := func(w arch.WarpID) arch.Addr { return arch.Addr(1<<30 + int64(w)*stride) }
+	p.OnGroupMiss(pc, 0, addrOf(0), nil, 0)
+	p.OnGroupMiss(pc, 1, addrOf(1), nil, 1) // stride stored and confirmed
+	prev := arch.WarpID(1)
+	for round := int64(2); round < 300; round++ {
+		// A group of distinct logical warp IDs in random order, as slots hold
+		// them after CTA refill.
+		wids := rng.Perm(200)[:13+rng.Intn(36)]
+		group := make([]Target, len(wids))
+		for i, w := range wids {
+			group[i] = Target{Slot: arch.WarpID(i), Wid: arch.WarpID(w)}
+		}
+		miss := group[rng.Intn(len(group))].Wid
+		if miss == prev {
+			continue // the same warp twice in a row observes no stride
+		}
+		prev = miss
+		want := slices.Clone(group)
+		sort.Slice(want, func(i, j int) bool {
+			di, dj := abs64(int64(want[i].Wid)-int64(miss)), abs64(int64(want[j].Wid)-int64(miss))
+			if di != dj {
+				return di < dj
+			}
+			return want[i].Wid < want[j].Wid
+		})
+		var wantReqs []Request
+		for _, tg := range want[:maxTargetsPerEvent] {
+			if tg.Wid != miss {
+				wantReqs = append(wantReqs, Request{Addr: addrOf(tg.Wid), Warp: tg.Slot, PC: pc})
+			}
+		}
+		before := slices.Clone(group)
+		got := p.OnGroupMiss(pc, miss, addrOf(miss), group, round)
+		if !slices.Equal(got, wantReqs) {
+			t.Fatalf("round %d: requests %v, want %v", round, got, wantReqs)
+		}
+		if !slices.Equal(group, before) {
+			t.Fatalf("round %d: OnGroupMiss reordered the caller's group", round)
+		}
+	}
+	group := targets(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19)
+	cycle := int64(1000)
+	if a := testing.AllocsPerRun(20, func() {
+		cycle++
+		miss := arch.WarpID(7 + 2*(cycle%2)) // alternate: the same warp twice observes no stride
+		if len(p.OnGroupMiss(pc, miss, addrOf(miss), group, cycle)) == 0 {
+			t.Fatal("steady-state group miss issued nothing")
+		}
+	}); a != 0 {
+		t.Fatalf("steady-state OnGroupMiss allocated %v times per call", a)
+	}
+}
+
+func TestSTROnAccessReusesItsBuffer(t *testing.T) {
+	p := NewSTR(16, 2)
+	w := arch.WarpID(0)
+	if a := testing.AllocsPerRun(20, func() {
+		w++
+		p.OnAccess(0x10, w, w, arch.Addr(1<<20+int64(w)*4352), false)
+	}); a != 0 {
+		t.Fatalf("steady-state STR.OnAccess allocated %v times per call", a)
+	}
+	got := p.OnAccess(0x10, 100, 5, arch.Addr(1<<20+100*4352), false)
+	want := []Request{
+		{Addr: arch.Addr(1<<20 + 101*4352), Warp: 5, PC: 0x10},
+		{Addr: arch.Addr(1<<20 + 102*4352), Warp: 5, PC: 0x10},
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("requests %v, want %v", got, want)
 	}
 }

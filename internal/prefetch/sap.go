@@ -15,7 +15,8 @@
 package prefetch
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"apres/internal/arch"
 	"apres/internal/trace"
@@ -62,6 +63,11 @@ type SAP struct {
 	drqPending int
 	drqCycle   int64
 
+	// nearest and reqs are OnGroupMiss's scratch: the group sorted by
+	// distance, and the returned requests. Both are reused across calls.
+	nearest []Target
+	reqs    []Request
+
 	tr     *trace.Tracer
 	trUnit int32
 }
@@ -99,7 +105,8 @@ func (p *SAP) OnAccess(arch.PC, arch.WarpID, arch.WarpID, arch.Addr, bool) []Req
 
 // OnGroupMiss processes a head-warp miss for a LAWS warp group and returns
 // the prefetches to inject. The returned requests carry the warps they
-// target; the core forwards that set to LAWS for prioritisation.
+// target; the core forwards that set to LAWS for prioritisation. The
+// returned slice is reused by the next call.
 func (p *SAP) OnGroupMiss(pc arch.PC, missWarp arch.WarpID, missAddr arch.Addr, group []Target, cycle int64) []Request {
 	// DRQ capacity: at most drqMax buffered miss addresses per cycle.
 	if cycle != p.drqCycle {
@@ -151,19 +158,20 @@ func (p *SAP) OnGroupMiss(pc arch.PC, missWarp arch.WarpID, missAddr arch.Addr, 
 		return nil
 	}
 	if len(group) > maxTargetsPerEvent {
-		sorted := make([]Target, len(group))
-		copy(sorted, group)
-		sort.Slice(sorted, func(i, j int) bool {
-			di := abs64(int64(sorted[i].Wid) - int64(missWarp))
-			dj := abs64(int64(sorted[j].Wid) - int64(missWarp))
-			if di != dj {
-				return di < dj
+		// Logical warp IDs are distinct, so (distance, ID) is a total order
+		// and the result does not depend on the sort algorithm.
+		p.nearest = append(p.nearest[:0], group...)
+		slices.SortFunc(p.nearest, func(a, b Target) int {
+			da := abs64(int64(a.Wid) - int64(missWarp))
+			db := abs64(int64(b.Wid) - int64(missWarp))
+			if da != db {
+				return cmp.Compare(da, db)
 			}
-			return sorted[i].Wid < sorted[j].Wid
+			return cmp.Compare(a.Wid, b.Wid)
 		})
-		group = sorted[:maxTargetsPerEvent]
+		group = p.nearest[:maxTargetsPerEvent]
 	}
-	var reqs []Request
+	reqs := p.reqs[:0]
 	for _, t := range group {
 		if t.Wid == missWarp {
 			continue
@@ -174,6 +182,7 @@ func (p *SAP) OnGroupMiss(pc arch.PC, missWarp arch.WarpID, missAddr arch.Addr, 
 		}
 		reqs = append(reqs, Request{Addr: arch.Addr(a), Warp: t.Slot, PC: pc})
 	}
+	p.reqs = reqs
 	if p.tr != nil && len(reqs) > 0 {
 		p.tr.Emit(trace.Event{Kind: trace.KindSAPIssue, Unit: p.trUnit,
 			Warp: int32(missWarp), PC: uint32(pc), Arg: stride,

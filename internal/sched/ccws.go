@@ -10,10 +10,11 @@ package sched
 
 import "apres/internal/arch"
 
-// vta is one warp's victim tag array: an LRU list of evicted line tags.
+// vta is one warp's victim tag array: an LRU list of evicted line tags. The
+// slice's capacity is the array's size; NewCCWS carves every warp's array
+// out of one allocation, so inserting never allocates.
 type vta struct {
 	entries []arch.LineAddr
-	max     int
 }
 
 func (v *vta) insert(l arch.LineAddr) {
@@ -25,7 +26,7 @@ func (v *vta) insert(l arch.LineAddr) {
 			return
 		}
 	}
-	if len(v.entries) < v.max {
+	if len(v.entries) < cap(v.entries) {
 		v.entries = append(v.entries, 0)
 	}
 	copy(v.entries[1:], v.entries)
@@ -90,9 +91,10 @@ func NewCCWS(numWarps, vtaEntries, baseScore, decayRate int, view View) *CCWS {
 		scores:    make([]int, numWarps),
 		vtas:      make([]vta, numWarps),
 	}
+	tags := make([]arch.LineAddr, numWarps*vtaEntries)
 	for i := range s.scores {
 		s.scores[i] = baseScore
-		s.vtas[i].max = vtaEntries
+		s.vtas[i].entries = tags[i*vtaEntries : i*vtaEntries : (i+1)*vtaEntries]
 	}
 	return s
 }
@@ -156,8 +158,8 @@ func (s *CCWS) Pick(ready arch.WarpMask, cycle int64) (arch.WarpID, bool) {
 	s.decay(cycle)
 	cand := ready & s.cachedEligible(cycle)
 	if s.view != nil {
-		for _, w := range (ready &^ cand).Warps() {
-			if !s.view.NextIsMem(w) {
+		for m := ready &^ cand; m != 0; m &= m - 1 {
+			if w := m.Lowest(); !s.view.NextIsMem(w) {
 				cand = cand.Set(w)
 			}
 		}
@@ -168,13 +170,12 @@ func (s *CCWS) Pick(ready arch.WarpMask, cycle int64) (arch.WarpID, bool) {
 	if s.hasCur && cand.Has(s.current) {
 		return s.current, true
 	}
-	for w := arch.WarpID(0); w < arch.WarpID(s.numWarps); w++ {
-		if cand.Has(w) {
-			s.current, s.hasCur = w, true
-			return w, true
-		}
+	cand &= arch.FirstWarps(s.numWarps)
+	if cand == 0 {
+		return 0, false
 	}
-	return 0, false
+	s.current, s.hasCur = cand.Lowest(), true
+	return s.current, true
 }
 
 func (s *CCWS) decay(cycle int64) {

@@ -154,24 +154,23 @@ func (s *LAWS) moveToTail(mask arch.WarpMask) {
 	s.partition(mask, false)
 }
 
+// partition runs on every lead-load result, so it allocates nothing: the
+// front half is compacted in place (the write index never passes the read
+// index) and the back half waits in a fixed scratch array — a warp mask, and
+// so the queue, holds at most 64 warps.
 func (s *LAWS) partition(mask arch.WarpMask, membersFirst bool) {
-	members := make([]arch.WarpID, 0, len(s.queue))
-	rest := make([]arch.WarpID, 0, len(s.queue))
+	var back [64]arch.WarpID
+	nf, nb := 0, 0
 	for _, w := range s.queue {
-		if mask.Has(w) {
-			members = append(members, w)
+		if mask.Has(w) == membersFirst {
+			s.queue[nf] = w
+			nf++
 		} else {
-			rest = append(rest, w)
+			back[nb] = w
+			nb++
 		}
 	}
-	s.queue = s.queue[:0]
-	if membersFirst {
-		s.queue = append(s.queue, members...)
-		s.queue = append(s.queue, rest...)
-	} else {
-		s.queue = append(s.queue, rest...)
-		s.queue = append(s.queue, members...)
-	}
+	copy(s.queue[nf:], back[:nb])
 }
 
 // OnWarpRelaunched implements Scheduler: clear the slot's load history.

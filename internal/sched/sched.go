@@ -126,14 +126,22 @@ func (s *LRR) Name() string { return "lrr" }
 
 // Pick implements Scheduler.
 func (s *LRR) Pick(ready arch.WarpMask, _ int64) (arch.WarpID, bool) {
-	for i := 0; i < s.numWarps; i++ {
-		w := (s.next + arch.WarpID(i)) % arch.WarpID(s.numWarps)
-		if ready.Has(w) {
-			s.next = (w + 1) % arch.WarpID(s.numWarps)
-			return w, true
-		}
+	ready &= arch.FirstWarps(s.numWarps)
+	if ready == 0 {
+		return 0, false
 	}
-	return 0, false
+	// The search order next, next+1, ..., numWarps-1, 0, ..., next-1 is the
+	// lowest ready warp at or above the pointer, else the lowest of all.
+	from := ready &^ arch.FirstWarps(int(s.next))
+	if from == 0 {
+		from = ready
+	}
+	w := from.Lowest()
+	s.next = w + 1
+	if int(s.next) == s.numWarps {
+		s.next = 0
+	}
+	return w, true
 }
 
 // GTO is greedy-then-oldest: keep issuing the same warp while it is ready,
@@ -156,13 +164,12 @@ func (s *GTO) Pick(ready arch.WarpMask, _ int64) (arch.WarpID, bool) {
 	if s.hasCur && ready.Has(s.current) {
 		return s.current, true
 	}
-	for w := arch.WarpID(0); w < arch.WarpID(s.numWarps); w++ {
-		if ready.Has(w) {
-			s.current, s.hasCur = w, true
-			return w, true
-		}
+	ready &= arch.FirstWarps(s.numWarps)
+	if ready == 0 {
+		return 0, false
 	}
-	return 0, false
+	s.current, s.hasCur = ready.Lowest(), true
+	return s.current, true
 }
 
 // OnWarpFinished implements Scheduler.
