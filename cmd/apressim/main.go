@@ -489,8 +489,8 @@ func printResult(w workloads.Workload, cfg config.Config, res gpu.Result, elapse
 		b.Dynamic()/1e6, b.Core/1e6, b.L1/1e6, b.L2/1e6, b.DRAM/1e6, b.NoC/1e6, b.APRES/1e6)
 	if es := res.EngineStats; es.Epochs > 0 {
 		perEpochUS := func(ns int64) float64 { return float64(ns) / 1e3 / float64(es.Epochs) }
-		fmt.Printf("engine      %d workers  %d epochs (avg %.1f cycles)  coverage %.3f of cycles  per epoch: prepare %.1f us  advance %.1f us  barrier-wait %.1f us  drain %.1f us\n",
-			es.SMJobs, es.Epochs, es.AvgEpochCycles(), es.Coverage(res.Cycles),
+		fmt.Printf("engine      %d workers  %d epochs (avg %.1f cycles)  coverage %.3f of executed cycles (%d idle cycles skipped between epochs)  per epoch: prepare %.1f us  advance %.1f us  barrier-wait %.1f us  drain %.1f us\n",
+			es.SMJobs, es.Epochs, es.AvgEpochCycles(), es.Coverage(res.Cycles), es.SkippedCycles,
 			perEpochUS(es.PrepareNS), perEpochUS(es.AdvanceNS), perEpochUS(es.BarrierWaitNS), perEpochUS(es.DrainNS))
 	}
 	if res.HitMaxCycles {

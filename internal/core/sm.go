@@ -170,8 +170,17 @@ type SM struct {
 	// The three per-cycle queues advance a head index instead of
 	// re-slicing so their backing arrays are reused for the whole run:
 	// the LSU path must not allocate per operation.
-	lsuQ        []lsuOp
-	lsuHead     int
+	lsuQ    []lsuOp
+	lsuHead int
+	// lsuBlocked is set when the head load found the MSHR file full with its
+	// line neither resident nor in flight, and cleared by the next HandleFill.
+	// Until then every retry would stall the same way: residency changes only
+	// in l1.Fill, an MSHR entry appears only when Access allocates one
+	// (impossible while the file is full — a prefetch probing a full file is
+	// dropped, not queued) and the file drains only in l1.Fill. So a blocked
+	// LSU counts its stall cycles without probing the L1, and its queue is
+	// not work the SM needs a Tick for.
+	lsuBlocked  bool
 	pfQ         []prefetch.Request
 	pfHead      int
 	completions []completion
@@ -313,6 +322,10 @@ func (sm *SM) NextIsMem(w arch.WarpID) bool {
 // lsuLen returns the number of queued LSU operations.
 func (sm *SM) lsuLen() int { return len(sm.lsuQ) - sm.lsuHead }
 
+// lsuRunnable reports whether the LSU has an operation it could complete
+// next cycle: one is queued and the head is not asleep on a full MSHR file.
+func (sm *SM) lsuRunnable() bool { return sm.lsuHead < len(sm.lsuQ) && !sm.lsuBlocked }
+
 // pfLen returns the number of queued prefetch injections.
 func (sm *SM) pfLen() int { return len(sm.pfQ) - sm.pfHead }
 
@@ -334,8 +347,10 @@ func (sm *SM) LoadStats() map[arch.PC]*LoadStat { return sm.loadStats }
 // L1 exposes the L1 cache (for tests and end-of-run accounting).
 func (sm *SM) L1() *mem.Cache { return sm.l1 }
 
-// HandleFill delivers a memory response to the L1.
+// HandleFill delivers a memory response to the L1, and wakes a blocked LSU:
+// the fill may have installed the head's line or freed the entry it needs.
 func (sm *SM) HandleFill(r dram.Response, cycle int64) {
+	sm.lsuBlocked = false
 	fo := sm.l1.Fill(r.Req.Line, cycle)
 	if fo.Entry == nil {
 		return
@@ -369,15 +384,16 @@ func (sm *SM) HandleFill(r dram.Response, cycle int64) {
 
 // Tick advances the SM by one cycle: expire hit completions, process one
 // LSU operation, then issue one instruction. It reports whether the SM is
-// certainly busy next cycle too — it issued, or LSU or prefetch work is still
-// queued. After a busy tick the run loop ticks again without asking
-// NextWakeup; only an idle tick is worth the wake-bound computation.
+// certainly busy next cycle too — it issued, or prefetch work or LSU work it
+// can act on (see lsuBlocked) is still queued. After a busy tick the run loop
+// ticks again without asking NextWakeup; only an idle tick is worth the
+// wake-bound computation.
 func (sm *SM) Tick(cycle int64) (busy bool) {
 	sm.st.Cycles = cycle + 1
 	sm.expireCompletions(cycle)
 	sm.lsuTick(cycle)
 	issued := sm.issueTick(cycle)
-	return issued || sm.lsuLen() > 0 || sm.pfLen() > 0
+	return issued || sm.lsuRunnable() || sm.pfLen() > 0
 }
 
 func (sm *SM) expireCompletions(cycle int64) {
@@ -397,16 +413,16 @@ func (sm *SM) expireCompletions(cycle int64) {
 }
 
 // NextWakeup returns the earliest cycle strictly after cycle at which the
-// SM could make progress on its own: pending LSU or prefetch work next
-// cycle, the next hit completion, or the next issue slot of a warp that is
-// not waiting on memory. When every live warp is blocked on an in-flight
+// SM could make progress on its own: pending prefetch or runnable LSU work
+// next cycle, the next hit completion, or the next issue slot of a warp that
+// is not waiting on memory. When every live warp is blocked on an in-flight
 // fill it returns a far-future sentinel — only a NoC delivery (an event
 // the global loop bounds separately) can wake the SM. The global loop may
 // skip the clock to the minimum wakeup across components; every skipped
 // cycle is then accounted through SkipIdle, keeping results bit-identical
 // to the cycle-by-cycle loop.
 func (sm *SM) NextWakeup(cycle int64) int64 {
-	if sm.lsuLen() > 0 || sm.pfLen() > 0 {
+	if sm.lsuRunnable() || sm.pfLen() > 0 {
 		return cycle + 1
 	}
 	if sm.readyMask(cycle) != 0 {
@@ -440,7 +456,8 @@ func (sm *SM) NextWakeup(cycle int64) int64 {
 // SkipIdle accounts the provably idle cycles from..to (inclusive) the
 // event-driven loop jumped over: the cycle-by-cycle loop would have
 // Ticked the SM through each one, found no ready warp, and recorded one
-// issue-stall cycle — nothing else in Tick can fire on an idle cycle.
+// issue-stall cycle — plus, with the LSU blocked, one L1 stall for the head's
+// retry. Nothing else in Tick can fire on an idle cycle.
 // Under tracing, that hypothetical Tick would also have run the stall
 // classifier, so the same transition event is emitted here (the caller has
 // advanced the tracer clock to the first skipped cycle); the reason is
@@ -448,6 +465,9 @@ func (sm *SM) NextWakeup(cycle int64) int64 {
 // exactly as the transition filter would in the cycle-by-cycle loop.
 func (sm *SM) SkipIdle(from, to int64) {
 	sm.st.IssueStallCycles += to - from + 1
+	if sm.lsuBlocked {
+		sm.st.L1Stalls += to - from + 1
+	}
 	sm.st.Cycles = to + 1
 	if sm.tr != nil {
 		sm.traceStall(sm.stallReason())
@@ -681,7 +701,9 @@ func (sm *SM) issueMemOp(w arch.WarpID, wc *warpCtx, in *kernel.Inst, kind arch.
 // (the prefetcher has its own L1 injection port so demand bursts cannot
 // starve it into always-late prefetches).
 func (sm *SM) lsuTick(cycle int64) {
-	if sm.lsuHead < len(sm.lsuQ) {
+	if sm.lsuBlocked {
+		sm.st.L1Stalls++
+	} else if sm.lsuHead < len(sm.lsuQ) {
 		if sm.processDemand(&sm.lsuQ[sm.lsuHead], cycle) {
 			sm.lsuHead++
 			if sm.lsuHead == len(sm.lsuQ) {
@@ -703,7 +725,8 @@ func (sm *SM) lsuTick(cycle int64) {
 	}
 }
 
-// processDemand returns false if the access stalled and must retry.
+// processDemand returns false if the access stalled — which blocks the LSU
+// until the next fill — and must retry.
 func (sm *SM) processDemand(op *lsuOp, cycle int64) bool {
 	if op.req.Kind == arch.AccessStore {
 		// Write-through, no-allocate: straight to the memory system.
@@ -715,6 +738,7 @@ func (sm *SM) processDemand(op *lsuOp, cycle int64) bool {
 	switch out.Result {
 	case arch.ResultStall:
 		sm.st.L1Stalls++
+		sm.lsuBlocked = true
 		return false
 	case arch.ResultHit:
 		sm.st.L1Accesses++

@@ -162,7 +162,7 @@ func TestDrained(t *testing.T) {
 // TestPeekWindowMatchesTick pins the epoch lookahead against the real thing:
 // for every window width, PeekWindowResponses must list exactly the
 // responses that ticking through the window then produces, in the same
-// order and at the same cycles — from a heap mixing L2 hits, DRAM fills and
+// order and at the same cycles — from a queue mixing L2 hits, DRAM fills and
 // merged waiters — and asking twice must change nothing.
 func TestPeekWindowMatchesTick(t *testing.T) {
 	cfg := testConfig()
@@ -189,7 +189,7 @@ func TestPeekWindowMatchesTick(t *testing.T) {
 	start := int64(cfg.DRAMLatency+8*cfg.DRAMServiceInterval) + 1 + 96/4
 	for _, width := range []int64{0, 1, 50, int64(cfg.L2Latency), int64(cfg.DRAMLatency), 4 * int64(cfg.DRAMLatency)} {
 		m := load()
-		checkEventSlab(t, m)
+		checkRing(t, &m.events)
 		upTo := start + width
 		peek := append([]Scheduled(nil), m.PeekWindowResponses(upTo)...)
 		again := m.PeekWindowResponses(upTo)
@@ -220,44 +220,16 @@ func TestPeekWindowMatchesTick(t *testing.T) {
 		if width == 4*int64(cfg.DRAMLatency) && len(peek) != 96 {
 			t.Errorf("the widest window should see all 96 loads answered, saw %d", len(peek))
 		}
-		checkEventSlab(t, m)
-	}
-}
-
-// checkEventSlab verifies the key-heap/payload-slab split: every heap key
-// owns a slab slot nobody else has, and every other slot is on the free list
-// exactly once.
-func checkEventSlab(t *testing.T, m *MemSystem) {
-	t.Helper()
-	owner := make([]string, len(m.slab))
-	claim := func(slot int32, who string) {
-		if slot < 0 || int(slot) >= len(m.slab) {
-			t.Fatalf("%s names slot %d outside the %d-slot slab", who, slot, len(m.slab))
-		}
-		if owner[slot] != "" {
-			t.Fatalf("slot %d is held by both %s and %s", slot, owner[slot], who)
-		}
-		owner[slot] = who
-	}
-	for _, k := range m.events {
-		claim(k.slot, "a live event")
-	}
-	for _, s := range m.freeSlots {
-		claim(s, "the free list")
-	}
-	for slot, who := range owner {
-		if who == "" {
-			t.Fatalf("slot %d is neither live nor free", slot)
-		}
+		checkRing(t, &m.events)
 	}
 }
 
 // TestEventSlabReuseNeverAliasesLivePayload interleaves pushes and pops for
 // long enough that every slab slot is recycled many times, with every request
-// carrying a unique tag. A payload overwritten while its key was still in the
-// heap would answer the wrong request (or one twice); each load must instead
-// come back exactly once, intact, and the lookahead must keep agreeing with
-// Tick while slots churn.
+// carrying a unique tag. A payload overwritten while its slot was still on a
+// bucket list would answer the wrong request (or one twice); each load must
+// instead come back exactly once, intact, and the lookahead must keep
+// agreeing with Tick while slots churn.
 func TestEventSlabReuseNeverAliasesLivePayload(t *testing.T) {
 	cfg := testConfig()
 	var st stats.Stats
@@ -292,8 +264,8 @@ func TestEventSlabReuseNeverAliasesLivePayload(t *testing.T) {
 				t.Fatalf("response %+v ready before the return leg alone allows", r)
 			}
 		}
-		// Bursts and lulls: the heap fills, drains to empty, and refills, so
-		// the free list is used from both ends of its length.
+		// Bursts and lulls: the ring fills, drains to empty, and refills, so
+		// the free list is rebuilt from scratch several times.
 		if c < 6000 && (c/300)%2 == 0 {
 			for n := rng.Intn(4); n > 0; n-- {
 				req := arch.MemReq{
@@ -306,17 +278,17 @@ func TestEventSlabReuseNeverAliasesLivePayload(t *testing.T) {
 				m.Request(req, c)
 			}
 		}
-		peakInFlight = max(peakInFlight, len(m.events))
+		peakInFlight = max(peakInFlight, m.events.n)
 		if c%101 == 0 {
-			checkEventSlab(t, m)
+			checkRing(t, &m.events)
 		}
 	}
 	if len(pending) != 0 || !m.Drained() {
 		t.Fatalf("%d of %d loads never answered (drained=%v)", len(pending), issued, m.Drained())
 	}
-	checkEventSlab(t, m)
-	if len(m.slab) > peakInFlight || issued < 10*len(m.slab) {
+	checkRing(t, &m.events)
+	if slots := len(m.events.slab); slots > peakInFlight || issued < 10*slots {
 		t.Fatalf("slab grew to %d slots for a peak of %d events in flight (%d issued): slots are not being reused",
-			len(m.slab), peakInFlight, issued)
+			slots, peakInFlight, issued)
 	}
 }

@@ -224,8 +224,8 @@ const ctxCheckInterval = 4096
 // component for its next interesting cycle and, when that lies more than
 // one cycle ahead, jumps the clock straight there (see skipTo for why the
 // jump is observationally invisible). Busy phases — any SM with a ready
-// warp or queued LSU/prefetch work — report "next cycle" and run
-// cycle-by-cycle exactly as before.
+// warp, a queued prefetch or an LSU operation it can act on — report "next
+// cycle" and run cycle-by-cycle exactly as before.
 func (g *GPU) RunContext(ctx context.Context, kernName string) (Result, error) {
 	if g.smJobs > 1 {
 		return g.runParallel(ctx, kernName)
@@ -273,8 +273,9 @@ func (g *GPU) RunContext(ctx context.Context, kernName string) (Result, error) {
 			allDone = false
 			if !g.noSkip && len(resp) == 0 && g.lanes[i].wake > cycle {
 				// The SM's cached wakeup bound proves this cycle is an
-				// issue stall and nothing else; account it without the
-				// full Tick (see skipTo for the invisibility argument).
+				// issue stall (and an L1 stall, if its LSU is blocked) and
+				// nothing else; account it without the full Tick (see
+				// skipTo for the invisibility argument).
 				sm.SkipIdle(cycle, cycle)
 				continue
 			}
@@ -357,7 +358,7 @@ func (g *GPU) finish(kernName string, cycle int64, hitMax bool) Result {
 
 // skipTo implements event-driven fast-forwarding. Called after cycle's
 // work is complete, it computes the earliest future cycle at which any
-// component can act — an SM wakeup, the memory system's event heap, or a
+// component can act — an SM wakeup, the memory system's event ring, or a
 // NoC delivery (including credit refill) — and, if that leaves a gap,
 // accounts the gap and returns next-1 so the loop's increment lands
 // exactly on the next interesting cycle.
@@ -365,11 +366,13 @@ func (g *GPU) finish(kernName string, cycle int64, hitMax bool) Result {
 // The jump is observationally invisible because a skipped cycle is
 // provably inert for every component: the memory system has no due event
 // and no retryable stall, no response can reach an SM, and every live SM
-// would Tick into a no-op stall (no due completion, empty LSU/prefetch
-// queues, no issuable warp). The only architectural traces such a cycle
-// leaves in a cycle-by-cycle run are one issue-stall count and the cycle
-// stamp per live SM — SkipIdle writes both — plus any timeline samples
-// due in the gap, emitted here with the (unchanged) instruction count.
+// would Tick into a no-op stall (no due completion, no prefetch queued, an
+// LSU queue that is empty or blocked until a fill arrives, no issuable
+// warp). The only architectural traces such a cycle leaves in a
+// cycle-by-cycle run are one issue-stall count, one L1 stall where the LSU
+// is blocked, and the cycle stamp per live SM — SkipIdle writes all three —
+// plus any timeline samples due in the gap, emitted here with the
+// (unchanged) instruction count.
 func (g *GPU) skipTo(cycle, maxCycles int64) int64 {
 	next := maxCycles
 	anyLive := false
@@ -421,10 +424,13 @@ func (g *GPU) skipTo(cycle, maxCycles int64) int64 {
 			sm.SkipIdle(from, to)
 		}
 	}
-	if g.eng != nil && g.tr != nil {
-		// Merge the freshly buffered stall events now, before any later
-		// cycle emits to the shared stream ahead of them.
-		g.eng.mergeStrays()
+	if g.eng != nil {
+		g.eng.prof.SkippedCycles += to - from + 1
+		if g.tr != nil {
+			// Merge the freshly buffered stall events now, before any later
+			// cycle emits to the shared stream ahead of them.
+			g.eng.mergeStrays()
+		}
 	}
 	if iv := g.timelineInterval; iv > 0 {
 		for m := from + (iv-from%iv)%iv; m <= to; m += iv {

@@ -91,6 +91,12 @@ func runEquivCell(t *testing.T, c matrixCase, traced bool, extra ...Option) equi
 	if err != nil {
 		t.Fatal(err)
 	}
+	if (c.WName == "KM" || c.WName == "BFS") && res.Total.L1Stalls == 0 {
+		// These are the cells that fill the L1's MSHR file; without a stall
+		// no LSU ever sleeps on one and every suite built on this helper
+		// says nothing about that path.
+		t.Fatalf("%s/%s recorded no L1 stall: the blocked-LSU path went unexercised (raise the cell's scale)", c.WName, c.CName)
+	}
 	r := equivRun{Res: res}
 	if traced {
 		if err := tr.Close(); err != nil {

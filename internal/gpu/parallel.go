@@ -13,7 +13,7 @@
 // the epoch are buffered per SM (smPort) and replayed at the barrier in
 // canonical (cycle, SM, issue-order) order — exactly the order the serial
 // loop would have used — so the shared side's state, statistics, and event
-// heap sequencing are bit-identical to a serial run. The equivalence suite
+// sequencing are bit-identical to a serial run. The equivalence suite
 // (parallel_equiv_test.go, fuzz_equiv_test.go) enforces this for cycles,
 // every statistic, trace streams, and interval samples, at every worker
 // count.
@@ -28,7 +28,7 @@
 // can produce is attributable, at S or by its own issuing worker, to the SM
 // that will receive it:
 //
-//   - Frozen events. Every event already in the heap at S that pops at or
+//   - Frozen events. Every event already in the ring at S that pops at or
 //     before E has a fully determined outcome: an L2 hit's response (target
 //     SM, ready cycle) was fixed at issue; a DRAM fill's frozen waiter list
 //     is fixed because waiters only accrue from new requests. The engine
@@ -68,7 +68,7 @@
 // The barrier drain then replays buffered memory injections in canonical
 // (cycle, SM, issue-order) order, running memSys.Tick at each due cycle
 // interleaved exactly as the serial loop would — stats, MSHR and DRAM-slot
-// state, retries, and heap sequencing all evolve identically — but
+// state, retries, and event sequencing all evolve identically — but
 // enqueues nothing: every response produced by an in-window Tick was
 // already enqueued worker-side (scheduled or mirrored), and events created
 // by the replay itself pop after E.
@@ -158,10 +158,12 @@ const cacheLine = 64
 type smLaneState struct {
 	// wake caches the SM's NextWakeup bound from its last Tick. On any
 	// cycle before wake with no NoC delivery the SM provably does nothing
-	// but record one issue stall, so the loops (serial and parallel) account
-	// that directly instead of paying the full warp scan in Tick. The cache
-	// stays valid between Ticks because only a delivery (which refreshes it)
-	// can change the SM's state from outside.
+	// but record one issue stall (and one L1 stall while its LSU is blocked
+	// on a full MSHR file: only a delivery's fill can unblock it), so the
+	// loops (serial and parallel) account that directly instead of paying
+	// the full warp scan in Tick. The cache stays valid between Ticks
+	// because only a delivery (which refreshes it) can change the SM's state
+	// from outside.
 	wake int64
 
 	// port buffers the SM's memory-system injections (parallel runs only).
@@ -170,7 +172,7 @@ type smLaneState struct {
 	// sched is the SM's response schedule for the current epoch: every
 	// response it will receive, stamped with the cycle the serial loop
 	// enqueues it into the NoC and sorted by (EnqueueCycle, Seq). Built at
-	// epoch start from the frozen event heap and extended in place by the
+	// epoch start from the frozen event ring and extended in place by the
 	// SM's worker when its own requests merge into frozen fills.
 	sched []dram.Scheduled
 
@@ -714,7 +716,7 @@ func (e *parallelEngine) prepareEpoch(from, to int64) {
 		lanes[i].sched = lanes[i].sched[:0]
 	}
 	if e.deliver {
-		// Build each SM's response schedule from the frozen event heap:
+		// Build each SM's response schedule from the frozen event ring:
 		// every response an in-window event pop will produce, in (pop cycle,
 		// event seq, waiter index) order — per-SM lists stay sorted because
 		// the lookahead emits in that global order.
@@ -822,7 +824,7 @@ func (e *parallelEngine) spinBudget() time.Duration {
 // serial cycle (scheduled at epoch start or mirrored by the issuing
 // worker), and events created by the replay itself pop after the window —
 // so these Ticks exist to evolve stats, retries, MSHR/DRAM-slot state, and
-// heap sequencing, bit-identically to serial. Returns the last cycle the
+// event sequencing, bit-identically to serial. Returns the last cycle the
 // memory system did work at (-1 if none) for the termination-cycle
 // computation.
 func (e *parallelEngine) drainEpochPlain(from, to int64) int64 {

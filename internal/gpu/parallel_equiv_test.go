@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"apres/internal/workloads"
 	"apres/internal/workspec"
 )
 
@@ -104,6 +105,42 @@ func TestFillStormParallelEquivalence(t *testing.T) {
 				requireSameRun(t, fmt.Sprintf("par%d", n), serial, par)
 				parTr := runEquivCell(t, c, true, WithParallelSMs(n))
 				requireSameRun(t, fmt.Sprintf("par%d+trace", n), serialTr, parTr)
+			}
+		})
+	}
+}
+
+// TestKMFullScaleParallelEquivalence is the full-size leg for the blocked
+// LSU: KM at scale 1 on all 15 SMs, where 88% of SM-cycles are an LSU head
+// asleep on a full MSHR file and whole epochs end with every SM asleep, so
+// the serial loop's skips, the bulk skip inside workers and the idle jump
+// between epochs all carry thousands of L1 stalls at a time, against a
+// reference that ticks every cycle. The equivScale matrix reaches the same
+// code, but not stretches this long nor every SM at once.
+func TestKMFullScaleParallelEquivalence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-scale simulations")
+	}
+	w, ok := workloads.ByName("KM")
+	if !ok {
+		t.Fatal("unknown workload KM")
+	}
+	for _, cc := range equivConfigs()[:2] { // base, apres
+		c := matrixCase{WName: w.Name(), CName: cc.name, Cfg: cc.cfg, Kern: w.Kernel}
+		t.Run(c.CName, func(t *testing.T) {
+			t.Parallel()
+			serial := runEquivCell(t, c, false)
+			if st := serial.Res.Total; 2*st.L1Stalls < st.IssueStallCycles {
+				t.Fatalf("KM/%s: %d L1 stalls in %d issue-stall cycles: no longer the thrashing case this test is for",
+					c.CName, st.L1Stalls, st.IssueStallCycles)
+			}
+			requireSameRun(t, "noskip", serial, runEquivCell(t, c, false, WithoutCycleSkipping()))
+			for _, n := range []int{2, 4} {
+				par := runEquivCell(t, c, false, WithParallelSMs(n))
+				requireSameRun(t, fmt.Sprintf("par%d", n), serial, par)
+				if par.Res.EngineStats.SkippedCycles == 0 {
+					t.Errorf("par%d: no cycle skipped between epochs: every SM asleep at an epoch's end did not happen", n)
+				}
 			}
 		})
 	}

@@ -66,8 +66,9 @@ type metrics struct {
 	// responses (how tight the served approximations were).
 	twinBound *histogram
 	// epochCoverage gauges the most recent completed parallel run's epoch
-	// coverage (fraction of simulated cycles inside worker-fanned epochs,
-	// the run's Amdahl ceiling) and parallelRuns counts such runs, both by
+	// coverage (fraction of executed cycles — those not skipped as idle
+	// between epochs — inside worker-fanned epochs, the run's Amdahl
+	// ceiling) and parallelRuns counts such runs, both by
 	// worker count. Serial and cache-served answers carry no engine stats
 	// and are not recorded.
 	epochCoverage map[int]float64
@@ -231,7 +232,7 @@ func (m *metrics) render(b *strings.Builder, version string) {
 		jobs = append(jobs, j)
 	}
 	sort.Ints(jobs)
-	fmt.Fprintf(b, "# HELP apresd_epoch_coverage Epoch coverage (fraction of simulated cycles inside parallel epochs) of the most recent parallel run, by worker count.\n")
+	fmt.Fprintf(b, "# HELP apresd_epoch_coverage Epoch coverage (fraction of executed, not idle-skipped, simulated cycles inside parallel epochs) of the most recent parallel run, by worker count.\n")
 	fmt.Fprintf(b, "# TYPE apresd_epoch_coverage gauge\n")
 	for _, j := range jobs {
 		fmt.Fprintf(b, "apresd_epoch_coverage{smjobs=\"%d\"} %g\n", j, m.epochCoverage[j])

@@ -209,8 +209,13 @@ type EngineStats struct {
 	// Epochs is the number of parallel epochs executed.
 	Epochs int64
 	// EpochCycles is the total number of simulated cycles covered by those
-	// epochs. EpochCycles / total cycles is the run's epoch coverage.
+	// epochs.
 	EpochCycles int64
+	// SkippedCycles counts the cycles the engine jumped over between epochs
+	// because no SM, memory event or NoC delivery was due in them: cycles
+	// that cost no host time in any engine, so Coverage leaves them out.
+	// Never serialised: API bytes and stored results predate it.
+	SkippedCycles int64 `json:"-"`
 
 	// The phase profile: where the coordinating goroutine's wall time went,
 	// in nanoseconds summed over the run's epochs. PrepareNS is the serial
@@ -225,13 +230,15 @@ type EngineStats struct {
 	DrainNS       int64 `json:"-"`
 }
 
-// Coverage returns the fraction of totalCycles executed inside parallel
-// epochs.
+// Coverage returns the fraction of the run's executed cycles — totalCycles
+// less the idle stretches skipped between epochs — that ran inside parallel
+// epochs; the rest ran as serial steps.
 func (e *EngineStats) Coverage(totalCycles int64) float64 {
-	if totalCycles <= 0 {
+	executed := totalCycles - e.SkippedCycles
+	if executed <= 0 {
 		return 0
 	}
-	return float64(e.EpochCycles) / float64(totalCycles)
+	return float64(e.EpochCycles) / float64(executed)
 }
 
 // AvgEpochCycles returns the mean epoch width in cycles.
