@@ -48,7 +48,6 @@ import (
 
 	"apres/internal/cluster"
 	"apres/internal/harness"
-	"apres/internal/resultstore"
 	"apres/internal/server"
 	"apres/internal/version"
 )
@@ -99,32 +98,33 @@ func setFlags() map[string]bool {
 }
 
 func main() {
+	shared := harness.Flags{Store: defaultStoreDir()}
+	shared.Register(flag.CommandLine, false, map[string]string{
+		"store":     "result-store directory (empty = no persistence)",
+		"scale":     "workload iteration scale factor",
+		"sms":       "override number of SMs (0 = Table III value)",
+		"jobs":      "max concurrent simulations (0 = GOMAXPROCS)",
+		"smjobs":    "default per-SM parallelism for each simulation; requests override with \"sm_jobs\" (0|1 = serial engine)",
+		"engine":    "default serving engine for requests that do not pick one: cycle-accurate (default) | twin | auto",
+		"tolerance": "default auto-engine escalation threshold on the relative IPC error bound (0 = calibration default)",
+	})
 	var (
 		addr     = flag.String("addr", ":7845", "listen address")
-		store    = flag.String("store", defaultStoreDir(), "result-store directory (empty = no persistence)")
 		memLRU   = flag.Int("store-mem", 512, "in-memory result-store front size in entries")
-		scale    = flag.Float64("scale", 1, "workload iteration scale factor")
-		sms      = flag.Int("sms", 0, "override number of SMs (0 = Table III value)")
-		jobs     = flag.Int("jobs", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-		smJobs   = flag.Int("smjobs", 0, "default per-SM parallelism for each simulation; requests override with \"sm_jobs\" (0|1 = serial engine)")
 		timeout  = flag.Duration("timeout", 10*time.Minute, "per-request simulation budget (0 = unbounded)")
 		drain    = flag.Duration("drain", 30*time.Second, "how long SIGTERM waits for in-flight requests")
 		traceDir = flag.String("tracedir", filepath.Join(os.TempDir(), "apres-traces"),
 			"directory for trace artifacts from traced /v1/simulate requests (empty = disable tracing)")
-		engine    = flag.String("engine", "", "default serving engine for requests that do not pick one: cycle-accurate (default) | twin | auto")
-		tolerance = flag.Float64("tolerance", 0, "default auto-engine escalation threshold on the relative IPC error bound (0 = calibration default)")
-		shedMark  = flag.Int("shed-watermark", 0, "shed simulate/sweep requests with 429 once this many callers are queued for the pool (0 = never shed)")
+		shedMark = flag.Int("shed-watermark", 0, "shed simulate/sweep requests with 429 once this many callers are queued for the pool (0 = never shed)")
 
 		coordinator = flag.Bool("coordinator", false, "run as a cluster coordinator instead of a worker (requires -nodes or runtime /v1/cluster/join)")
 		nodes       = flag.String("nodes", "", "comma-separated worker base URLs for -coordinator (e.g. http://sim1:7845,http://sim2:7845)")
 		cellTimeout = flag.Duration("cell-timeout", 2*time.Minute, "coordinator: per-cell dispatch attempt budget")
 		probeEvery  = flag.Duration("probe-interval", 15*time.Second, "coordinator: worker health probe period")
-
-		showVer = flag.Bool("version", false, "print the simulator version stamp and exit")
 	)
 	flag.Parse()
 
-	if *showVer {
+	if shared.Version {
 		fmt.Println(version.Stamp())
 		return
 	}
@@ -146,26 +146,15 @@ func main() {
 		return
 	}
 
-	if _, err := harness.ParseEngine(*engine); err != nil {
-		log.Fatalf("apresd: %v", err)
-	}
-	if *tolerance < 0 {
-		log.Fatalf("apresd: -tolerance must be >= 0, got %g", *tolerance)
-	}
 	if *shedMark < 0 {
 		log.Fatalf("apresd: -shed-watermark must be >= 0, got %d", *shedMark)
 	}
-
-	r := harness.NewRunner(*scale, *sms)
-	r.Jobs = *jobs
-	r.SMJobs = *smJobs
-	if *store != "" {
-		st, err := resultstore.Open(*store, *memLRU)
-		if err != nil {
-			log.Fatalf("apresd: %v", err)
-		}
-		r.Store = st
-		log.Printf("apresd: result store at %s", st.Dir())
+	r, err := shared.Runner(*memLRU)
+	if err != nil {
+		log.Fatalf("apresd: %v", err)
+	}
+	if r.Store != nil {
+		log.Printf("apresd: result store at %s", r.Store.Dir())
 	} else {
 		log.Printf("apresd: running without a persistent result store")
 	}
@@ -174,13 +163,13 @@ func main() {
 		Runner:           r,
 		SimTimeout:       *timeout,
 		TraceDir:         *traceDir,
-		DefaultEngine:    *engine,
-		DefaultTolerance: *tolerance,
+		DefaultEngine:    shared.Engine,
+		DefaultTolerance: shared.Tolerance,
 		ShedWatermark:    *shedMark,
 	})
 
 	log.Printf("apresd %s listening on %s (scale=%g sms=%d jobs=%d smjobs=%d timeout=%v shed-watermark=%d)",
-		version.Stamp(), *addr, *scale, *sms, *jobs, *smJobs, *timeout, *shedMark)
+		version.Stamp(), *addr, r.Scale, r.SMs, r.Jobs, r.SMJobs, *timeout, *shedMark)
 	if err := srv.ListenAndServe(ctx, *addr, *drain); err != nil {
 		log.Fatalf("apresd: %v", err)
 	}

@@ -47,7 +47,6 @@ import (
 	"apres/internal/gpu"
 	"apres/internal/harness"
 	"apres/internal/profiling"
-	"apres/internal/resultstore"
 	"apres/internal/server"
 	"apres/internal/trace"
 	"apres/internal/twin"
@@ -56,7 +55,23 @@ import (
 	"apres/internal/workspec"
 )
 
+// die reports a fatal error and exits 1.
+func die(v ...any) {
+	fmt.Fprintln(os.Stderr, v...)
+	os.Exit(1)
+}
+
 func main() {
+	var shared harness.Flags
+	shared.Register(flag.CommandLine, true, map[string]string{
+		"sms":       "override number of SMs (0 = Table III value)",
+		"scale":     "workload iteration scale factor",
+		"jobs":      "max concurrent simulations when multiple workloads are given (0 = GOMAXPROCS)",
+		"smjobs":    "shard each simulation's per-SM loop across this many goroutines (0|1 = serial engine; results are bit-identical)",
+		"store":     "persistent result-store directory shared with apresd (empty = off)",
+		"engine":    "serving engine: cycle-accurate (default) | twin (analytical model, microseconds) | auto (twin with cycle-accurate fallback)",
+		"tolerance": "auto-engine escalation threshold on the relative IPC error bound (0 = calibration default)",
+	})
 	var (
 		workload  = flag.String("workload", "BFS", "benchmark abbreviation, or a comma-separated list (see -list)")
 		specPath  = flag.String("spec", "", "run a declarative workload spec JSON file instead of a named workload")
@@ -64,37 +79,25 @@ func main() {
 		scheduler = flag.String("scheduler", "lrr", "warp scheduler: lrr|gto|twolevel|ccws|mascar|pa|laws")
 		pref      = flag.String("prefetcher", "none", "prefetcher: none|str|sld|sap")
 		apres     = flag.Bool("apres", false, "enable the APRES LAWS<->SAP coupling (implies -scheduler laws -prefetcher sap)")
-		sms       = flag.Int("sms", 0, "override number of SMs (0 = Table III value)")
 		l1KB      = flag.Int("l1kb", 0, "override L1 size in KiB (0 = Table III value)")
-		scale     = flag.Float64("scale", 1, "workload iteration scale factor")
-		jobs      = flag.Int("jobs", 0, "max concurrent simulations when multiple workloads are given (0 = GOMAXPROCS)")
-		smJobs    = flag.Int("smjobs", 0, "shard each simulation's per-SM loop across this many goroutines (0|1 = serial engine; results are bit-identical)")
 		loadstats = flag.Bool("loadstats", false, "collect per-PC load characterisation (Table I)")
 		asJSON    = flag.Bool("json", false, "emit the full result as JSON instead of text")
 		list      = flag.Bool("list", false, "list workloads and exit")
-		storeDir  = flag.String("store", "", "persistent result-store directory shared with apresd (empty = off)")
 		serverURL = flag.String("server", "", "delegate simulations to a running apresd at this base URL")
-		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProf   = flag.String("memprofile", "", "write a pprof allocation profile to this file on exit")
 		tracePath = flag.String("trace", "", "write a Chrome-trace/Perfetto JSON of the run to this file (single workload, local runs only)")
 		traceIv   = flag.Int64("trace-interval", 1000, "interval-sampler window in cycles for -trace")
-		engineF   = flag.String("engine", "", "serving engine: cycle-accurate (default) | twin (analytical model, microseconds) | auto (twin with cycle-accurate fallback)")
-		tolF      = flag.Float64("tolerance", 0, "auto-engine escalation threshold on the relative IPC error bound (0 = calibration default)")
-		showVer   = flag.Bool("version", false, "print the simulator version stamp and exit")
 	)
 	flag.Parse()
 
-	stopProf, err := profiling.Start(*cpuProf, *memProf)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer stopProf()
-
-	if *showVer {
+	if shared.Version {
 		fmt.Println(version.Stamp())
 		return
 	}
+	stopProf, err := profiling.Start(shared.CPUProfile, shared.MemProfile)
+	if err != nil {
+		die(err)
+	}
+	defer stopProf()
 	if *list {
 		for _, w := range workloads.All() {
 			fmt.Printf("%-6s %-18s %s\n", w.Name(), w.Category, w.Description)
@@ -107,38 +110,31 @@ func main() {
 	// validation errors exit 1 before any simulation starts.
 	spec, err := loadSpec(*specPath, *replay)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		die(err)
 	}
 
-	var names []string
+	// One Request per workload, and the workload's description for output.
+	var reqs []harness.Request
 	var wls []workloads.Workload
 	if spec != nil {
 		w, err := spec.Compile()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			die(err)
 		}
-		names = []string{spec.Label()}
-		wls = []workloads.Workload{w}
+		reqs, wls = []harness.Request{{Spec: spec}}, []workloads.Workload{w}
 	} else {
 		for _, n := range strings.Split(*workload, ",") {
-			if n = strings.TrimSpace(n); n != "" {
-				names = append(names, n)
+			if n = strings.TrimSpace(n); n == "" {
+				continue
 			}
-		}
-		if len(names) == 0 {
-			fmt.Fprintln(os.Stderr, "no workload given (try -list)")
-			os.Exit(1)
-		}
-		wls = make([]workloads.Workload, len(names))
-		for i, n := range names {
 			w, ok := workloads.ByName(n)
 			if !ok {
-				fmt.Fprintf(os.Stderr, "unknown workload %q (try -list)\n", n)
-				os.Exit(1)
+				die(fmt.Sprintf("unknown workload %q (try -list)", n))
 			}
-			wls[i] = w
+			reqs, wls = append(reqs, harness.Request{Workload: n}), append(wls, w)
+		}
+		if len(reqs) == 0 {
+			die("no workload given (try -list)")
 		}
 	}
 
@@ -150,29 +146,29 @@ func main() {
 			WithScheduler(config.SchedulerKind(*scheduler)).
 			WithPrefetcher(config.PrefetcherKind(*pref))
 	}
-	if *sms > 0 {
-		cfg.NumSMs = *sms
+	if shared.SMs > 0 {
+		cfg.NumSMs = shared.SMs
 	}
 	if *l1KB > 0 {
 		cfg.L1SizeBytes = *l1KB * 1024
 	}
 	if err := cfg.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		die(err)
 	}
 
-	eng, err := harness.ParseEngine(*engineF)
+	// Local runs go through a harness.Runner: identical workloads in the
+	// list simulate once, concurrency is bounded by -jobs, and -store
+	// shares warm results with apresd and future invocations. With -server
+	// the Runner only validates the engine flags; the daemon owns the store.
+	if *serverURL != "" {
+		shared.Store = ""
+	}
+	runner, err := shared.Runner(64)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		die(err)
 	}
-	if *tolF < 0 {
-		fmt.Fprintf(os.Stderr, "-tolerance must be >= 0, got %g\n", *tolF)
-		os.Exit(1)
-	}
-	if eng == harness.EngineTwin && (*tracePath != "" || *loadstats) {
-		fmt.Fprintln(os.Stderr, "-engine twin cannot serve -trace or -loadstats: they need a real execution (use cycle-accurate or auto)")
-		os.Exit(1)
+	if shared.Engine == harness.EngineTwin && (*tracePath != "" || *loadstats) {
+		die("-engine twin cannot serve -trace or -loadstats: they need a real execution (use cycle-accurate or auto)")
 	}
 
 	// A traced run executes exactly once with the tracer attached, so it
@@ -180,94 +176,46 @@ func main() {
 	var tracer *trace.Tracer
 	var traceFile *os.File
 	if *tracePath != "" {
-		if len(names) != 1 {
-			fmt.Fprintln(os.Stderr, "-trace requires exactly one workload")
-			os.Exit(1)
+		if len(reqs) != 1 {
+			die("-trace requires exactly one workload")
 		}
 		if *serverURL != "" {
-			fmt.Fprintln(os.Stderr, "-trace runs locally; it cannot be combined with -server")
-			os.Exit(1)
+			die("-trace runs locally; it cannot be combined with -server")
 		}
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if traceFile, err = os.Create(*tracePath); err != nil {
+			die(err)
 		}
-		traceFile = f
-		tracer = trace.New(trace.NewJSONSink(f), *traceIv)
-	}
-
-	// Local runs go through a harness.Runner: identical workloads in the
-	// list simulate once, concurrency is bounded by -jobs, and -store
-	// shares warm results with apresd and future invocations.
-	runner := harness.NewRunner(*scale, 0)
-	runner.Jobs = *jobs
-	runner.SMJobs = *smJobs
-	if *storeDir != "" && *serverURL == "" {
-		st, err := resultstore.Open(*storeDir, 64)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		runner.Store = st
+		tracer = trace.New(trace.NewJSONSink(traceFile), *traceIv)
 	}
 
 	type outcome struct {
-		res       gpu.Result
-		elapsed   time.Duration
-		cached    bool
-		engine    string
-		escalated bool
-		bound     twin.Bounds
-		err       error
+		harness.Outcome
+		elapsed time.Duration
+		err     error
 	}
-	outs := make([]outcome, len(wls))
+	outs := make([]outcome, len(reqs))
 	start := time.Now()
 	var wg sync.WaitGroup
-	for i, w := range wls {
+	for i, req := range reqs {
 		wg.Add(1)
-		go func(i int, w workloads.Workload) {
+		go func(i int, req harness.Request) {
 			defer wg.Done()
 			t0 := time.Now()
+			req.Inline, req.LoadStats, req.Tracer = cfg, *loadstats, tracer
 			if *serverURL != "" {
-				resp, err := remoteSimulate(*serverURL, w.Name(), spec, cfg, *loadstats, *smJobs, *engineF, *tolF)
-				outs[i] = outcome{res: resp.Result, elapsed: time.Since(t0), cached: resp.Cached,
-					engine: resp.Engine, escalated: resp.Escalated, err: err}
-				if resp.ErrorBound != nil {
-					outs[i].bound = *resp.ErrorBound
-				}
-				return
+				outs[i].Outcome, outs[i].err = remoteSimulate(*serverURL, req, shared)
+			} else {
+				outs[i].Outcome, outs[i].err = runner.Do(context.Background(), req)
 			}
-			ctx := context.Background()
-			o := harness.RunOpts{SMJobs: *smJobs}
-			e := harness.EngineReq{Engine: eng, Tolerance: *tolF}
-			var out harness.EngineOutcome
-			var err error
-			switch {
-			case tracer != nil && spec != nil:
-				out.Result, err = runner.RunSpecTraced(ctx, spec, cfg, *loadstats, tracer, o)
-				out.Engine = harness.EngineCycleAccurate
-				out.Escalated = eng == harness.EngineAuto
-			case tracer != nil:
-				out.Result, err = runner.RunTraced(ctx, w.Name(), cfg, *loadstats, tracer)
-				out.Engine = harness.EngineCycleAccurate
-				out.Escalated = eng == harness.EngineAuto
-			case spec != nil:
-				out, err = runner.RunEngineSpecConfig(ctx, spec, cfg, *loadstats, e, o)
-			default:
-				out, err = runner.RunEngineConfig(ctx, w.Name(), cfg, *loadstats, e, o)
-			}
-			outs[i] = outcome{res: out.Result, elapsed: time.Since(t0),
-				engine: out.Engine, escalated: out.Escalated, bound: out.Bound, err: err}
-		}(i, w)
+			outs[i].elapsed = time.Since(t0)
+		}(i, req)
 	}
 	wg.Wait()
 	totalWall := time.Since(start)
 
 	for i, o := range outs {
 		if o.err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", wls[i].Name(), o.err)
-			os.Exit(1)
+			die(fmt.Sprintf("%s: %v", wls[i].Name(), o.err))
 		}
 	}
 
@@ -277,8 +225,7 @@ func main() {
 			err = cerr
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "writing trace: %v\n", err)
-			os.Exit(1)
+			die(fmt.Sprintf("writing trace: %v", err))
 		}
 		csvPath := strings.TrimSuffix(*tracePath, ".json") + ".intervals.csv"
 		cf, err := os.Create(csvPath)
@@ -289,8 +236,7 @@ func main() {
 			}
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "writing interval CSV: %v\n", err)
-			os.Exit(1)
+			die(fmt.Sprintf("writing interval CSV: %v", err))
 		}
 		fmt.Fprintf(os.Stderr, "trace: %d events -> %s, %d interval samples -> %s\n",
 			tracer.Emitted(), *tracePath, len(tracer.Samples()), csvPath)
@@ -308,35 +254,26 @@ func main() {
 		}
 		// Engine annotations appear only when -engine was chosen, keeping
 		// default output stable for existing consumers.
-		mk := func(i int, w workloads.Workload) jsonResult {
-			jr := jsonResult{Workload: w.Name(), Category: w.Category.String(),
-				Result: outs[i].res, WallMS: outs[i].elapsed.Milliseconds()}
-			if *engineF != "" {
-				jr.Engine = outs[i].engine
-				jr.Escalated = outs[i].escalated
-				if outs[i].engine == harness.EngineTwin {
-					b := outs[i].bound
-					jr.ErrorBound = &b
+		all := make([]jsonResult, len(wls))
+		for i, w := range wls {
+			all[i] = jsonResult{Workload: w.Name(), Category: w.Category.String(),
+				Result: outs[i].Result, WallMS: outs[i].elapsed.Milliseconds()}
+			if shared.Engine != "" {
+				all[i].Engine, all[i].Escalated = outs[i].Engine, outs[i].Escalated
+				if outs[i].Engine == harness.EngineTwin {
+					all[i].ErrorBound = &outs[i].Bound
 				}
 			}
-			return jr
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if len(wls) == 1 {
-			if err := enc.Encode(mk(0, wls[0])); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			return
+		if len(all) == 1 {
+			err = enc.Encode(all[0])
+		} else {
+			err = enc.Encode(all)
 		}
-		all := make([]jsonResult, len(wls))
-		for i, w := range wls {
-			all[i] = mk(i, w)
-		}
-		if err := enc.Encode(all); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if err != nil {
+			die(err)
 		}
 		return
 	}
@@ -345,19 +282,19 @@ func main() {
 		if i > 0 {
 			fmt.Println()
 		}
-		printResult(w, cfg, outs[i].res, outs[i].elapsed, *loadstats)
-		if *engineF != "" {
+		printResult(w, cfg, outs[i].Result, outs[i].elapsed, *loadstats)
+		if shared.Engine != "" {
 			switch {
-			case outs[i].engine == harness.EngineTwin:
+			case outs[i].Engine == harness.EngineTwin:
 				fmt.Printf("engine      twin (error bound ±%.1f%% IPC, ±%.1f pp L1)\n",
-					outs[i].bound.IPCRel*100, outs[i].bound.L1HitAbs*100)
-			case outs[i].escalated:
+					outs[i].Bound.IPCRel*100, outs[i].Bound.L1HitAbs*100)
+			case outs[i].Escalated:
 				fmt.Println("engine      cycle-accurate (escalated from twin)")
-			case outs[i].engine != "":
-				fmt.Printf("engine      %s\n", outs[i].engine)
+			case outs[i].Engine != "":
+				fmt.Printf("engine      %s\n", outs[i].Engine)
 			}
 		}
-		if outs[i].cached {
+		if *serverURL != "" && outs[i].Cached {
 			fmt.Println("served from the daemon's warm cache")
 		}
 	}
@@ -422,45 +359,46 @@ func traceSpecName(path string) string {
 }
 
 // remoteSimulate delegates one run to an apresd daemon via POST
-// /v1/simulate with the full configuration (and any spec) inline.
-func remoteSimulate(base, app string, spec *workspec.Spec, cfg config.Config, loadStats bool, smJobs int, engine string, tolerance float64) (server.SimulateResponse, error) {
-	req := server.SimulateRequest{
-		ConfigInline: &cfg,
-		LoadStats:    loadStats,
-		SMJobs:       smJobs,
-		Engine:       engine,
-		Tolerance:    tolerance,
-	}
-	if spec != nil {
-		req.Spec = spec
-	} else {
-		req.Workload = app
-	}
-	body, err := json.Marshal(req)
+// /v1/simulate with the full configuration (and any spec) inline, and reads
+// the answer back as the Outcome a local run would have produced.
+func remoteSimulate(base string, run harness.Request, f harness.Flags) (harness.Outcome, error) {
+	body, err := json.Marshal(server.SimulateRequest{
+		Workload:     run.Workload,
+		Spec:         run.Spec,
+		ConfigInline: &run.Inline,
+		LoadStats:    run.LoadStats,
+		SMJobs:       f.SMJobs,
+		Engine:       f.Engine,
+		Tolerance:    f.Tolerance,
+	})
 	if err != nil {
-		return server.SimulateResponse{}, err
+		return harness.Outcome{}, err
 	}
 	resp, err := http.Post(strings.TrimRight(base, "/")+"/v1/simulate", "application/json", bytes.NewReader(body))
 	if err != nil {
-		return server.SimulateResponse{}, fmt.Errorf("apresd at %s: %w", base, err)
+		return harness.Outcome{}, fmt.Errorf("apresd at %s: %w", base, err)
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return server.SimulateResponse{}, err
+		return harness.Outcome{}, err
 	}
 	if resp.StatusCode != http.StatusOK {
 		var e struct {
 			Error string `json:"error"`
 		}
 		if json.Unmarshal(data, &e) == nil && e.Error != "" {
-			return server.SimulateResponse{}, fmt.Errorf("apresd: %s (HTTP %d)", e.Error, resp.StatusCode)
+			return harness.Outcome{}, fmt.Errorf("apresd: %s (HTTP %d)", e.Error, resp.StatusCode)
 		}
-		return server.SimulateResponse{}, fmt.Errorf("apresd: HTTP %d", resp.StatusCode)
+		return harness.Outcome{}, fmt.Errorf("apresd: HTTP %d", resp.StatusCode)
 	}
-	var out server.SimulateResponse
-	if err := json.Unmarshal(data, &out); err != nil {
-		return server.SimulateResponse{}, fmt.Errorf("apresd: bad response: %w", err)
+	var sr server.SimulateResponse
+	if err := json.Unmarshal(data, &sr); err != nil {
+		return harness.Outcome{}, fmt.Errorf("apresd: bad response: %w", err)
+	}
+	out := harness.Outcome{Result: sr.Result, Engine: sr.Engine, Escalated: sr.Escalated, Key: sr.Key, Cached: sr.Cached}
+	if sr.ErrorBound != nil {
+		out.Bound = *sr.ErrorBound
 	}
 	return out, nil
 }

@@ -31,30 +31,34 @@ import (
 	"apres/internal/version"
 )
 
+// die reports a fatal error and exits 1.
+func die(v ...any) {
+	fmt.Fprintln(os.Stderr, v...)
+	os.Exit(1)
+}
+
 func main() {
+	var shared harness.Flags
+	shared.Register(flag.CommandLine, true, map[string]string{
+		"scale": "workload iteration scale",
+		"sms":   "override SM count",
+	})
 	var (
 		apps    = flag.String("apps", "", "comma-separated benchmark subset (default: memory-intensive set)")
 		all     = flag.Bool("all", false, "characterise all 15 benchmarks")
-		scale   = flag.Float64("scale", 1, "workload iteration scale")
-		sms     = flag.Int("sms", 0, "override SM count")
 		specOut = flag.String("spec-out", "", "write each app's measured characteristics as a workload-spec JSON into this directory")
-		cpuProf = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProf = flag.String("memprofile", "", "write a pprof allocation profile to this file on exit")
-		showVer = flag.Bool("version", false, "print the simulator version stamp and exit")
 	)
 	flag.Parse()
 
-	stopProf, err := profiling.Start(*cpuProf, *memProf)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer stopProf()
-
-	if *showVer {
+	if shared.Version {
 		fmt.Println(version.Stamp())
 		return
 	}
+	stopProf, err := profiling.Start(shared.CPUProfile, shared.MemProfile)
+	if err != nil {
+		die(err)
+	}
+	defer stopProf()
 
 	var list []string
 	switch {
@@ -69,32 +73,31 @@ func main() {
 		list = harness.MemoryIntensiveApps()
 	}
 
-	r := harness.NewRunner(*scale, *sms)
+	r, err := shared.Runner(0)
+	if err != nil {
+		die(err)
+	}
 	start := time.Now()
 	rows, err := r.TableI(list)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		die(err)
 	}
 	fmt.Print(harness.RenderTableI(rows))
 
 	if *specOut != "" {
 		if err := os.MkdirAll(*specOut, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			die(err)
 		}
 		// TableI already ran every app with load statistics, so the memo
 		// cache makes these re-runs free.
 		for _, app := range list {
 			s, err := r.MeasuredSpec(context.Background(), app)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", app, err)
-				os.Exit(1)
+				die(fmt.Sprintf("%s: %v", app, err))
 			}
 			path := filepath.Join(*specOut, s.Name+".json")
 			if err := os.WriteFile(path, s.Encode(), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				die(err)
 			}
 			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 		}

@@ -36,7 +36,6 @@ import (
 	"apres/internal/config"
 	"apres/internal/harness"
 	"apres/internal/profiling"
-	"apres/internal/resultstore"
 	"apres/internal/version"
 	"apres/internal/workspec"
 )
@@ -47,34 +46,38 @@ import (
 var experimentIDs = []string{"table1", "table2", "fig2", "fig3", "fig4",
 	"fig10", "fig11", "fig12", "fig13", "fig14", "fig15"}
 
+// die reports a fatal error and exits 1.
+func die(v ...any) {
+	fmt.Fprintln(os.Stderr, v...)
+	os.Exit(1)
+}
+
 func main() {
+	var shared harness.Flags
+	shared.Register(flag.CommandLine, true, map[string]string{
+		"scale":     "workload iteration scale",
+		"sms":       "override SM count (0 = Table III's 15)",
+		"jobs":      "max concurrent simulations (0 = GOMAXPROCS)",
+		"smjobs":    "shard each simulation's per-SM loop across this many goroutines (0|1 = serial engine; results are bit-identical)",
+		"store":     "persistent result-store directory shared with apresd (empty = off)",
+		"engine":    "serving engine for every run: cycle-accurate (default) | twin (analytical, approximate figures in milliseconds) | auto (twin with cycle-accurate fallback)",
+		"tolerance": "auto-engine escalation threshold on the relative IPC error bound (0 = calibration default)",
+	})
 	var (
 		only     = flag.String("only", "", "comma-separated experiment ids ("+strings.Join(experimentIDs, ",")+"); empty = all")
-		scale    = flag.Float64("scale", 1, "workload iteration scale")
-		sms      = flag.Int("sms", 0, "override SM count (0 = Table III's 15)")
 		format   = flag.String("format", harness.FormatText, "figure output format: text|csv|md")
-		jobs     = flag.Int("jobs", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-		smJobs   = flag.Int("smjobs", 0, "shard each simulation's per-SM loop across this many goroutines (0|1 = serial engine; results are bit-identical)")
 		specDir  = flag.String("specs", "", "sweep every workload-spec JSON file in this directory instead of running the paper experiments")
 		specCfgs = flag.String("spec-configs", "base,apres", "comma-separated named configurations for the -specs sweep")
-		storeDir = flag.String("store", "", "persistent result-store directory shared with apresd (empty = off)")
-		engineF  = flag.String("engine", "", "serving engine for every run: cycle-accurate (default) | twin (analytical, approximate figures in milliseconds) | auto (twin with cycle-accurate fallback)")
-		tolF     = flag.Float64("tolerance", 0, "auto-engine escalation threshold on the relative IPC error bound (0 = calibration default)")
-		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write a pprof allocation profile to this file on exit")
-		showVer  = flag.Bool("version", false, "print the simulator version stamp and exit")
 	)
 	flag.Parse()
 
-	if *showVer {
+	if shared.Version {
 		fmt.Println(version.Stamp())
 		return
 	}
-
-	stopProf, err := profiling.Start(*cpuProf, *memProf)
+	stopProf, err := profiling.Start(shared.CPUProfile, shared.MemProfile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		die(err)
 	}
 	defer stopProf()
 
@@ -87,8 +90,7 @@ func main() {
 		for _, id := range strings.Split(*only, ",") {
 			id = strings.TrimSpace(id)
 			if !known[id] {
-				fmt.Fprintf(os.Stderr, "unknown experiment id %q (known: %s)\n", id, strings.Join(experimentIDs, ","))
-				os.Exit(1)
+				die(fmt.Sprintf("unknown experiment id %q (known: %s)", id, strings.Join(experimentIDs, ",")))
 			}
 			want[id] = true
 		}
@@ -98,40 +100,17 @@ func main() {
 	switch *format {
 	case harness.FormatText, harness.FormatCSV, harness.FormatMarkdown:
 	default:
-		fmt.Fprintf(os.Stderr, "unknown format %q (want text|csv|md)\n", *format)
-		os.Exit(1)
+		die(fmt.Sprintf("unknown format %q (want text|csv|md)", *format))
 	}
 
-	eng, err := harness.ParseEngine(*engineF)
+	r, err := shared.Runner(256)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if *tolF < 0 {
-		fmt.Fprintf(os.Stderr, "-tolerance must be >= 0, got %g\n", *tolF)
-		os.Exit(1)
-	}
-
-	r := harness.NewRunner(*scale, *sms)
-	r.Jobs = *jobs
-	r.SMJobs = *smJobs
-	if *engineF != "" {
-		r.EngineDefault = eng
-		r.EngineTolerance = *tolF
-	}
-	if *storeDir != "" {
-		st, err := resultstore.Open(*storeDir, 256)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		r.Store = st
+		die(err)
 	}
 
 	if *specDir != "" {
 		if *only != "" {
-			fmt.Fprintln(os.Stderr, "-only selects paper experiments; it does not apply to a -specs sweep")
-			os.Exit(1)
+			die("-only selects paper experiments; it does not apply to a -specs sweep")
 		}
 		runSpecSweep(r, *specDir, *specCfgs, *format)
 		return
@@ -143,38 +122,34 @@ func main() {
 
 	type experiment struct {
 		id  string
-		run func() (fmt.Stringer, error)
+		run func() (string, error)
 	}
-	chartOf := func(c *harness.Chart, err error) (fmt.Stringer, error) {
-		if err != nil {
-			return nil, err
+	fig := func(f func([]string) (*harness.Chart, error), apps []string) func() (string, error) {
+		return func() (string, error) {
+			c, err := f(apps)
+			if err != nil {
+				return "", err
+			}
+			return c.RenderAs(*format)
 		}
-		out, err := c.RenderAs(*format)
-		if err != nil {
-			return nil, err
-		}
-		return stringer{out}, nil
 	}
 	experiments := []experiment{
-		{"table1", func() (fmt.Stringer, error) {
+		{"table1", func() (string, error) {
 			rows, err := r.TableI(memApps)
-			if err != nil {
-				return nil, err
-			}
-			return stringer{harness.RenderTableI(rows)}, nil
+			return harness.RenderTableI(rows), err
 		}},
-		{"table2", func() (fmt.Stringer, error) {
-			return stringer{harness.RenderTableII(harness.TableII(config.APRES()))}, nil
+		{"table2", func() (string, error) {
+			return harness.RenderTableII(harness.TableII(config.APRES())), nil
 		}},
-		{"fig2", func() (fmt.Stringer, error) { return chartOf(r.Fig2(all)) }},
-		{"fig3", func() (fmt.Stringer, error) { return chartOf(r.Fig3(memApps)) }},
-		{"fig4", func() (fmt.Stringer, error) { return chartOf(r.Fig4(memApps)) }},
-		{"fig10", func() (fmt.Stringer, error) { return chartOf(r.Fig10(all)) }},
-		{"fig11", func() (fmt.Stringer, error) { return chartOf(r.Fig11(all)) }},
-		{"fig12", func() (fmt.Stringer, error) { return chartOf(r.Fig12(all)) }},
-		{"fig13", func() (fmt.Stringer, error) { return chartOf(r.Fig13(all)) }},
-		{"fig14", func() (fmt.Stringer, error) { return chartOf(r.Fig14(all)) }},
-		{"fig15", func() (fmt.Stringer, error) { return chartOf(r.Fig15(all)) }},
+		{"fig2", fig(r.Fig2, all)},
+		{"fig3", fig(r.Fig3, memApps)},
+		{"fig4", fig(r.Fig4, memApps)},
+		{"fig10", fig(r.Fig10, all)},
+		{"fig11", fig(r.Fig11, all)},
+		{"fig12", fig(r.Fig12, all)},
+		{"fig13", fig(r.Fig13, all)},
+		{"fig14", fig(r.Fig14, all)},
+		{"fig15", fig(r.Fig15, all)},
 	}
 
 	for _, e := range experiments {
@@ -185,15 +160,14 @@ func main() {
 		t0 := time.Now()
 		out, err := e.run()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", e.id, err)
-			os.Exit(1)
+			die(fmt.Sprintf("%s: %v", e.id, err))
 		}
 		d := r.Stats().Sub(before)
 		// With an engine selected, twin-served runs are reported as their
 		// own column instead of disappearing into the simulator cache-hit
 		// counter — the per-experiment line shows exactly which engine did
 		// the work.
-		if *engineF != "" {
+		if r.EngineDefault != "" {
 			fmt.Fprintf(os.Stderr, "%-7s wall %-10v sims %-4d twin %-4d escalated %-4d cache hits %-4d store hits %d\n",
 				e.id, time.Since(t0).Round(time.Millisecond), d.Simulations, d.TwinServed, d.TwinEscalations, d.CacheHits, d.StoreHits)
 		} else {
@@ -202,14 +176,14 @@ func main() {
 		}
 		fmt.Printf("== %s ==\n%s\n", e.id, out)
 	}
-	effJobs := *jobs
+	effJobs := r.Jobs
 	if effJobs <= 0 {
 		effJobs = runtime.GOMAXPROCS(0)
 	}
 	total := r.Stats()
-	if *engineF != "" {
+	if r.EngineDefault != "" {
 		fmt.Fprintf(os.Stderr, "total wall time: %v (jobs %d, engine %s: %d sims, %d twin-served, %d escalated, %d cache hits, %d store hits)\n",
-			time.Since(start).Round(time.Millisecond), effJobs, eng, total.Simulations, total.TwinServed, total.TwinEscalations, total.CacheHits, total.StoreHits)
+			time.Since(start).Round(time.Millisecond), effJobs, r.EngineDefault, total.Simulations, total.TwinServed, total.TwinEscalations, total.CacheHits, total.StoreHits)
 	} else {
 		fmt.Fprintf(os.Stderr, "total wall time: %v (jobs %d, %d sims, %d cache hits, %d dedup waits, %d store hits)\n",
 			time.Since(start).Round(time.Millisecond), effJobs, total.Simulations, total.CacheHits, total.DedupWaits, total.StoreHits)
@@ -223,12 +197,10 @@ func main() {
 func runSpecSweep(r *harness.Runner, dir, cfgList, format string) {
 	paths, err := filepath.Glob(filepath.Join(dir, "*.json"))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		die(err)
 	}
 	if len(paths) == 0 {
-		fmt.Fprintf(os.Stderr, "no workload-spec files (*.json) in %s\n", dir)
-		os.Exit(1)
+		die(fmt.Sprintf("no workload-spec files (*.json) in %s", dir))
 	}
 	sort.Strings(paths)
 
@@ -239,8 +211,7 @@ func runSpecSweep(r *harness.Runner, dir, cfgList, format string) {
 		}
 	}
 	if len(cfgNames) == 0 {
-		fmt.Fprintln(os.Stderr, "-spec-configs names no configurations")
-		os.Exit(1)
+		die("-spec-configs names no configurations")
 	}
 
 	// Validate everything up front; report every problem, run nothing on
@@ -281,13 +252,11 @@ func runSpecSweep(r *harness.Runner, dir, cfgList, format string) {
 	t0 := time.Now()
 	chart, err := r.SpecSweep(context.Background(), specs, cfgNames)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		die(err)
 	}
 	out, err := chart.RenderAs(format)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		die(err)
 	}
 	stats := r.Stats()
 	if r.EngineDefault != "" {
@@ -301,7 +270,3 @@ func runSpecSweep(r *harness.Runner, dir, cfgList, format string) {
 	}
 	fmt.Print(out)
 }
-
-type stringer struct{ s string }
-
-func (s stringer) String() string { return s.s }

@@ -86,7 +86,7 @@ type Coordinator struct {
 	cellsFailed  int64
 	retries      int64
 	rebalances   int64
-	mergeSeconds *histogram
+	mergeSeconds *server.Histogram
 }
 
 // New builds a Coordinator over the given options. Initial nodes are added
@@ -122,7 +122,7 @@ func New(opts Options) (*Coordinator, error) {
 		opts:         opts,
 		client:       client,
 		nodes:        make(map[string]*node),
-		mergeSeconds: newHistogram(mergeBuckets),
+		mergeSeconds: server.NewHistogram(mergeBuckets),
 	}
 	for _, u := range opts.Nodes {
 		if err := c.AddNode(u); err != nil {
@@ -193,17 +193,8 @@ func (c *Coordinator) Nodes() []string {
 }
 
 func (c *Coordinator) sortedURLsLocked() []string {
-	out := make([]string, 0, len(c.nodes))
-	for u := range c.nodes {
-		out = append(out, u)
-	}
 	// Deterministic ordering for status, metrics, and ranking input.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	return server.SortedKeys(c.nodes)
 }
 
 // pick selects the dispatch target for a cell key: the highest-ranked
@@ -243,9 +234,10 @@ func (c *Coordinator) pick(key string) (n *node, primary bool, wait time.Duratio
 	return nil, false, minWait
 }
 
-func (c *Coordinator) noteDispatch(n *node) {
+// count bumps one of the counters c.mu guards.
+func (c *Coordinator) count(n *int64) {
 	c.mu.Lock()
-	n.dispatched++
+	*n++
 	c.mu.Unlock()
 }
 
@@ -274,18 +266,6 @@ func (c *Coordinator) noteFailure(n *node, err error) {
 	if n.consecFails >= c.opts.FailThreshold {
 		n.healthy = false
 	}
-	c.mu.Unlock()
-}
-
-func (c *Coordinator) noteRebalance() {
-	c.mu.Lock()
-	c.rebalances++
-	c.mu.Unlock()
-}
-
-func (c *Coordinator) noteRetry() {
-	c.mu.Lock()
-	c.retries++
 	c.mu.Unlock()
 }
 
@@ -339,7 +319,7 @@ func (c *Coordinator) post(ctx context.Context, n *node, path string, body []byt
 		return 0, nil, nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	c.noteDispatch(n)
+	c.count(&n.dispatched)
 	resp, err := c.client.Do(req)
 	if err != nil {
 		return 0, nil, nil, err
@@ -393,20 +373,45 @@ func (c *Coordinator) Sweep(ctx context.Context, req *server.SweepRequest) (*ser
 	c.mu.Lock()
 	c.sweeps++
 	c.cellsMerged += int64(len(cells))
-	c.mergeSeconds.observe(time.Since(t0).Seconds())
+	c.mergeSeconds.Observe(time.Since(t0).Seconds())
 	c.mu.Unlock()
 	return &server.SweepResponse{Cells: out}, nil
 }
 
-// runCell dispatches one cell until a worker answers it, re-ranking the
-// pool on every attempt so node death and shedding re-route it.
+// runCell dispatches one cell until a worker answers it.
 func (c *Coordinator) runCell(ctx context.Context, req *server.SweepRequest, cell server.Cell) server.SweepCell {
-	sub := req.CellRequest(cell)
-	body, err := json.Marshal(sub)
+	body, err := json.Marshal(req.CellRequest(cell))
 	if err != nil {
 		return failedCell(cell, err)
 	}
-	key := cell.ID(req.LoadStats)
+	var answer server.SweepCell
+	node, status, data, err := c.dispatch(ctx, cell.ID(req.LoadStats), "/v1/sweep", body, func(data []byte) bool {
+		var resp server.SweepResponse
+		if json.Unmarshal(data, &resp) != nil || len(resp.Cells) != 1 {
+			return false
+		}
+		answer = resp.Cells[0]
+		return true
+	})
+	switch {
+	case err != nil:
+		c.count(&c.cellsFailed)
+		return failedCell(cell, err)
+	case status != http.StatusOK:
+		return failedCell(cell, fmt.Errorf("node %s: status %d: %s", node, status, snippet(data)))
+	}
+	return answer
+}
+
+// dispatch posts body to path on the node that owns key until a worker
+// gives a terminal answer, which it returns with the node's URL. The pool
+// is re-ranked on every attempt, so node death and shedding re-route the
+// request: transport errors, 5xx and a 200 whose body is not wellFormed
+// count against the node and retry after a backoff; a 429 takes the node
+// out of the rotation for its penalty window without counting against it;
+// any other status is terminal — a 4xx is deterministic, every node would
+// reject the request the same way.
+func (c *Coordinator) dispatch(ctx context.Context, key, path string, body []byte, wellFormed func([]byte) bool) (node string, status int, data []byte, err error) {
 	max := c.maxAttempts()
 	var lastErr error
 	for attempt := 0; attempt < max; attempt++ {
@@ -415,7 +420,7 @@ func (c *Coordinator) runCell(ctx context.Context, req *server.SweepRequest, cel
 			break
 		}
 		if attempt > 0 {
-			c.noteRetry()
+			c.count(&c.retries)
 		}
 		n, primary, wait := c.pick(key)
 		if n == nil {
@@ -429,47 +434,34 @@ func (c *Coordinator) runCell(ctx context.Context, req *server.SweepRequest, cel
 			break
 		}
 		if !primary {
-			c.noteRebalance()
+			c.count(&c.rebalances)
 		}
-		status, hdr, data, err := c.post(ctx, n, "/v1/sweep", body)
+		status, hdr, data, err := c.post(ctx, n, path, body)
+		failure := err
 		switch {
 		case err != nil:
 			lastErr = fmt.Errorf("node %s: %w", n.url, err)
-			c.noteFailure(n, err)
-			c.backoff(ctx, attempt)
-		case status == http.StatusOK:
-			var resp server.SweepResponse
-			if jerr := json.Unmarshal(data, &resp); jerr != nil || len(resp.Cells) != 1 {
-				lastErr = fmt.Errorf("node %s: malformed cell response", n.url)
-				c.noteFailure(n, lastErr)
-				c.backoff(ctx, attempt)
-				continue
-			}
-			c.noteOK(n)
-			return resp.Cells[0]
 		case status == http.StatusTooManyRequests:
-			// Load shedding is the worker protecting itself, not failing:
-			// take it out of the rotation for the advertised window and
-			// let the next pick migrate the cell.
+			// Load shedding is the worker protecting itself, not failing.
 			c.noteShed(n, retryAfterHeader(hdr))
+			continue
 		case status >= 500:
 			lastErr = fmt.Errorf("node %s: status %d: %s", n.url, status, snippet(data))
-			c.noteFailure(n, lastErr)
-			c.backoff(ctx, attempt)
+			failure = lastErr
+		case status == http.StatusOK && !wellFormed(data):
+			lastErr = fmt.Errorf("node %s: malformed cell response", n.url)
+			failure = lastErr
 		default:
-			// A 4xx is deterministic — every node rejects the same cell
-			// the same way — so surface it without burning retries.
 			c.noteOK(n)
-			return failedCell(cell, fmt.Errorf("node %s: status %d: %s", n.url, status, snippet(data)))
+			return n.url, status, data, nil
 		}
+		c.noteFailure(n, failure)
+		c.backoff(ctx, attempt)
 	}
 	if lastErr == nil {
 		lastErr = fmt.Errorf("gave up after %d attempts", max)
 	}
-	c.mu.Lock()
-	c.cellsFailed++
-	c.mu.Unlock()
-	return failedCell(cell, lastErr)
+	return "", 0, nil, lastErr
 }
 
 func failedCell(cell server.Cell, err error) server.SweepCell {
@@ -494,8 +486,7 @@ func retryAfterHeader(h http.Header) time.Duration {
 
 // Simulate routes one /v1/simulate request to the node that owns its cell
 // and forwards the worker's response verbatim (status and body), with the
-// same retry/rebalance machinery as sweep cells. Terminal worker statuses
-// (200 and 4xx) are forwarded; transport errors, 5xx, and 429 re-route.
+// same retry/rebalance machinery as sweep cells.
 func (c *Coordinator) Simulate(ctx context.Context, req *server.SimulateRequest) (int, []byte, error) {
 	key, err := req.CellID()
 	if err != nil {
@@ -508,49 +499,8 @@ func (c *Coordinator) Simulate(ctx context.Context, req *server.SimulateRequest)
 	if len(c.liveNodes()) == 0 {
 		return 0, nil, ErrNoNodes
 	}
-	max := c.maxAttempts()
-	var lastErr error
-	for attempt := 0; attempt < max; attempt++ {
-		if err := ctx.Err(); err != nil {
-			lastErr = err
-			break
-		}
-		if attempt > 0 {
-			c.noteRetry()
-		}
-		n, primary, wait := c.pick(key)
-		if n == nil {
-			if wait > 0 {
-				sleepCtx(ctx, wait)
-				continue
-			}
-			lastErr = ErrNoNodes
-			break
-		}
-		if !primary {
-			c.noteRebalance()
-		}
-		status, hdr, data, err := c.post(ctx, n, "/v1/simulate", body)
-		switch {
-		case err != nil:
-			lastErr = fmt.Errorf("node %s: %w", n.url, err)
-			c.noteFailure(n, err)
-			c.backoff(ctx, attempt)
-		case status == http.StatusTooManyRequests:
-			c.noteShed(n, retryAfterHeader(hdr))
-		case status >= 500:
-			lastErr = fmt.Errorf("node %s: status %d: %s", n.url, status, snippet(data))
-			c.noteFailure(n, lastErr)
-			c.backoff(ctx, attempt)
-		default:
-			c.noteOK(n)
-			return status, data, nil
-		}
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("gave up after %d attempts", max)
-	}
-	return 0, nil, lastErr
+	_, status, data, err := c.dispatch(ctx, key, "/v1/simulate", body, func([]byte) bool { return true })
+	return status, data, err
 }
 
 // liveNodes returns the URLs of currently healthy nodes.

@@ -1,14 +1,12 @@
-// Prometheus-text-format metrics for the coordinator, rendered with fully
-// deterministic ordering (nodes sorted by URL, request keys sorted) so
-// tests can assert exact lines — the same discipline as the worker's
-// /metrics endpoint.
+// The coordinator's /metrics families, written through the worker's
+// exposition writer in a deterministic order (nodes sorted by URL) so tests
+// can assert exact bytes.
 package cluster
 
 import (
-	"fmt"
-	"sort"
-	"strings"
 	"time"
+
+	"apres/internal/server"
 )
 
 // mergeBuckets are the sweep merge-latency histogram bounds in seconds
@@ -16,132 +14,44 @@ import (
 // is implicit).
 var mergeBuckets = []float64{0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30, 60, 120, 300}
 
-// histogram is a fixed-bucket cumulative histogram (guarded by the
-// Coordinator mutex, like every other counter it renders beside).
-type histogram struct {
-	buckets []float64
-	counts  []int64 // one per bucket, non-cumulative
-	sum     float64
-	count   int64
-}
-
-func newHistogram(buckets []float64) *histogram { return &histogram{buckets: buckets} }
-
-func (h *histogram) observe(v float64) {
-	if h.counts == nil {
-		h.counts = make([]int64, len(h.buckets))
-	}
-	for i, ub := range h.buckets {
-		if v <= ub {
-			h.counts[i]++
-			break
-		}
-	}
-	h.sum += v
-	h.count++
-}
-
-// renderMetrics writes the coordinator exposition. requests is the HTTP
-// server's finished-request counter snapshot ("endpoint code" → count).
-func (c *Coordinator) renderMetrics(b *strings.Builder, version string, requests map[string]int64) {
+// renderMetrics writes the coordinator's own families: per-node state in
+// URL order, then the dispatch counters and the merge-latency histogram.
+func (c *Coordinator) renderMetrics(e *server.Exposition) {
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	fmt.Fprintf(b, "# HELP apresd_cluster_build_info Constant 1, labelled with the coordinator version stamp.\n")
-	fmt.Fprintf(b, "# TYPE apresd_cluster_build_info gauge\n")
-	fmt.Fprintf(b, "apresd_cluster_build_info{version=%q} 1\n", version)
-
-	fmt.Fprintf(b, "# HELP apresd_cluster_requests_total Finished HTTP requests by endpoint and status code.\n")
-	fmt.Fprintf(b, "# TYPE apresd_cluster_requests_total counter\n")
-	keys := make([]string, 0, len(requests))
-	for k := range requests {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		var endpoint string
-		var code int
-		fmt.Sscanf(k, "%s %d", &endpoint, &code)
-		fmt.Fprintf(b, "apresd_cluster_requests_total{endpoint=%q,code=\"%d\"} %d\n", endpoint, code, requests[k])
-	}
-
 	urls := c.sortedURLsLocked()
-
-	fmt.Fprintf(b, "# HELP apresd_cluster_node_up Worker liveness (1 healthy, 0 dead) by node.\n")
-	fmt.Fprintf(b, "# TYPE apresd_cluster_node_up gauge\n")
-	for _, u := range urls {
-		up := 0
-		if c.nodes[u].healthy {
-			up = 1
+	perNode := func(name, kind, help string, v func(*node) int64) {
+		e.Family(name, kind, help)
+		for _, u := range urls {
+			e.Sample(v(c.nodes[u]), "node", u)
 		}
-		fmt.Fprintf(b, "apresd_cluster_node_up{node=%q} %d\n", u, up)
 	}
-
-	fmt.Fprintf(b, "# HELP apresd_cluster_node_shedding Worker shed state (1 inside a 429 penalty window) by node.\n")
-	fmt.Fprintf(b, "# TYPE apresd_cluster_node_shedding gauge\n")
-	for _, u := range urls {
-		shedding := 0
-		if c.nodes[u].shedUntil.After(now) {
-			shedding = 1
+	flag := func(b bool) int64 {
+		if b {
+			return 1
 		}
-		fmt.Fprintf(b, "apresd_cluster_node_shedding{node=%q} %d\n", u, shedding)
+		return 0
 	}
+	perNode("apresd_cluster_node_up", "gauge", "Worker liveness (1 healthy, 0 dead) by node.",
+		func(n *node) int64 { return flag(n.healthy) })
+	perNode("apresd_cluster_node_shedding", "gauge", "Worker shed state (1 inside a 429 penalty window) by node.",
+		func(n *node) int64 { return flag(n.shedUntil.After(now)) })
+	perNode("apresd_cluster_node_queue_depth", "gauge", "Last probed worker queue depth by node.",
+		func(n *node) int64 { return int64(n.queueDepth) })
+	perNode("apresd_cluster_cells_dispatched_total", "counter", "Dispatch attempts (including retries) by node.",
+		func(n *node) int64 { return n.dispatched })
+	perNode("apresd_cluster_cells_shed_total", "counter", "429 load-shed responses by node.",
+		func(n *node) int64 { return n.shed })
+	perNode("apresd_cluster_node_failures_total", "counter", "Transport errors and 5xx responses by node.",
+		func(n *node) int64 { return n.failed })
 
-	fmt.Fprintf(b, "# HELP apresd_cluster_node_queue_depth Last probed worker queue depth by node.\n")
-	fmt.Fprintf(b, "# TYPE apresd_cluster_node_queue_depth gauge\n")
-	for _, u := range urls {
-		fmt.Fprintf(b, "apresd_cluster_node_queue_depth{node=%q} %d\n", u, c.nodes[u].queueDepth)
-	}
-
-	fmt.Fprintf(b, "# HELP apresd_cluster_cells_dispatched_total Dispatch attempts (including retries) by node.\n")
-	fmt.Fprintf(b, "# TYPE apresd_cluster_cells_dispatched_total counter\n")
-	for _, u := range urls {
-		fmt.Fprintf(b, "apresd_cluster_cells_dispatched_total{node=%q} %d\n", u, c.nodes[u].dispatched)
-	}
-
-	fmt.Fprintf(b, "# HELP apresd_cluster_cells_shed_total 429 load-shed responses by node.\n")
-	fmt.Fprintf(b, "# TYPE apresd_cluster_cells_shed_total counter\n")
-	for _, u := range urls {
-		fmt.Fprintf(b, "apresd_cluster_cells_shed_total{node=%q} %d\n", u, c.nodes[u].shed)
-	}
-
-	fmt.Fprintf(b, "# HELP apresd_cluster_node_failures_total Transport errors and 5xx responses by node.\n")
-	fmt.Fprintf(b, "# TYPE apresd_cluster_node_failures_total counter\n")
-	for _, u := range urls {
-		fmt.Fprintf(b, "apresd_cluster_node_failures_total{node=%q} %d\n", u, c.nodes[u].failed)
-	}
-
-	fmt.Fprintf(b, "# HELP apresd_cluster_retries_total Cell dispatch retries after failure or shedding.\n")
-	fmt.Fprintf(b, "# TYPE apresd_cluster_retries_total counter\n")
-	fmt.Fprintf(b, "apresd_cluster_retries_total %d\n", c.retries)
-
-	fmt.Fprintf(b, "# HELP apresd_cluster_rebalances_total Cells dispatched to a node other than their rendezvous owner.\n")
-	fmt.Fprintf(b, "# TYPE apresd_cluster_rebalances_total counter\n")
-	fmt.Fprintf(b, "apresd_cluster_rebalances_total %d\n", c.rebalances)
-
-	fmt.Fprintf(b, "# HELP apresd_cluster_sweeps_total Completed cluster sweeps.\n")
-	fmt.Fprintf(b, "# TYPE apresd_cluster_sweeps_total counter\n")
-	fmt.Fprintf(b, "apresd_cluster_sweeps_total %d\n", c.sweeps)
-
-	fmt.Fprintf(b, "# HELP apresd_cluster_cells_merged_total Cells merged into completed sweep responses.\n")
-	fmt.Fprintf(b, "# TYPE apresd_cluster_cells_merged_total counter\n")
-	fmt.Fprintf(b, "apresd_cluster_cells_merged_total %d\n", c.cellsMerged)
-
-	fmt.Fprintf(b, "# HELP apresd_cluster_cells_failed_total Cells that exhausted every node and returned a cluster error.\n")
-	fmt.Fprintf(b, "# TYPE apresd_cluster_cells_failed_total counter\n")
-	fmt.Fprintf(b, "apresd_cluster_cells_failed_total %d\n", c.cellsFailed)
-
-	fmt.Fprintf(b, "# HELP apresd_cluster_merge_seconds Sweep wall time from fan-out to last merged cell.\n")
-	fmt.Fprintf(b, "# TYPE apresd_cluster_merge_seconds histogram\n")
-	var cum int64
-	for i, ub := range c.mergeSeconds.buckets {
-		if c.mergeSeconds.counts != nil {
-			cum += c.mergeSeconds.counts[i]
-		}
-		fmt.Fprintf(b, "apresd_cluster_merge_seconds_bucket{le=\"%g\"} %d\n", ub, cum)
-	}
-	fmt.Fprintf(b, "apresd_cluster_merge_seconds_bucket{le=\"+Inf\"} %d\n", c.mergeSeconds.count)
-	fmt.Fprintf(b, "apresd_cluster_merge_seconds_sum %g\n", c.mergeSeconds.sum)
-	fmt.Fprintf(b, "apresd_cluster_merge_seconds_count %d\n", c.mergeSeconds.count)
+	e.Counter("apresd_cluster_retries_total", "Cell dispatch retries after failure or shedding.", c.retries)
+	e.Counter("apresd_cluster_rebalances_total", "Cells dispatched to a node other than their rendezvous owner.", c.rebalances)
+	e.Counter("apresd_cluster_sweeps_total", "Completed cluster sweeps.", c.sweeps)
+	e.Counter("apresd_cluster_cells_merged_total", "Cells merged into completed sweep responses.", c.cellsMerged)
+	e.Counter("apresd_cluster_cells_failed_total", "Cells that exhausted every node and returned a cluster error.", c.cellsFailed)
+	e.Family("apresd_cluster_merge_seconds", "histogram", "Sweep wall time from fan-out to last merged cell.")
+	e.Histogram(c.mergeSeconds)
 }

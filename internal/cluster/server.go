@@ -2,15 +2,8 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"net"
 	"net/http"
-	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"apres/internal/server"
 	"apres/internal/version"
@@ -30,147 +23,62 @@ import (
 // Trace requests are a worker-local feature (the artifact lives on one
 // node's disk); the coordinator rejects them with 400.
 type Server struct {
+	*server.Skeleton
 	coord *Coordinator
-	mux   *http.ServeMux
-
-	draining atomic.Bool
-
-	mu       sync.Mutex
-	requests map[string]int64
 }
 
-// NewServer builds the HTTP front end over a Coordinator.
+// NewServer builds the HTTP front end over a Coordinator, on the serving
+// skeleton a worker uses: same request counting, same JSON encoder, same
+// readiness-first drain.
 func NewServer(c *Coordinator) *Server {
-	s := &Server{
-		coord:    c,
-		mux:      http.NewServeMux(),
-		requests: make(map[string]int64),
-	}
-	s.mux.HandleFunc("POST /v1/sweep", s.counted("sweep", s.handleSweep))
-	s.mux.HandleFunc("POST /v1/simulate", s.counted("simulate", s.handleSimulate))
-	s.mux.HandleFunc("POST /v1/cluster/join", s.counted("join", s.handleJoin))
-	s.mux.HandleFunc("GET /v1/cluster/status", s.counted("status", s.handleStatus))
-	s.mux.HandleFunc("GET /healthz", s.counted("healthz", s.handleHealthz))
-	s.mux.HandleFunc("GET /metrics", s.counted("metrics", s.handleMetrics))
+	s := &Server{Skeleton: server.NewSkeleton(), coord: c}
+	s.Handle("POST /v1/sweep", "sweep", s.handleSweep)
+	s.Handle("POST /v1/simulate", "simulate", s.handleSimulate)
+	s.Handle("POST /v1/cluster/join", "join", s.handleJoin)
+	s.Handle("GET /v1/cluster/status", "status", s.handleStatus)
+	s.Handle("GET /healthz", "healthz", s.handleHealthz)
+	s.Handle("GET /metrics", "metrics", s.handleMetrics)
 	return s
-}
-
-// Coordinator returns the coordinator this server fronts.
-func (s *Server) Coordinator() *Coordinator { return s.coord }
-
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-// Serve accepts connections on l until ctx is cancelled, then drains with
-// the same discipline as a worker: readiness flips to 503 first so load
-// balancers stop routing here, then in-flight requests complete (bounded
-// by drain; 0 waits indefinitely).
-func (s *Server) Serve(ctx context.Context, l net.Listener, drain time.Duration) error {
-	hs := &http.Server{Handler: s}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(l) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	s.draining.Store(true)
-	sctx := context.Background()
-	if drain > 0 {
-		var cancel context.CancelFunc
-		sctx, cancel = context.WithTimeout(sctx, drain)
-		defer cancel()
-	}
-	return hs.Shutdown(sctx)
-}
-
-// ListenAndServe is Serve over a fresh TCP listener on addr.
-func (s *Server) ListenAndServe(ctx context.Context, addr string, drain time.Duration) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ctx, l, drain)
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(c int) {
-	w.code = c
-	w.ResponseWriter.WriteHeader(c)
-}
-
-func (s *Server) counted(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		h(sw, r)
-		s.mu.Lock()
-		s.requests[fmt.Sprintf("%s %d", endpoint, sw.code)]++
-		s.mu.Unlock()
-	}
-}
-
-// writeJSON matches the worker daemon's encoder settings exactly (indented
-// with two spaces) so a merged sweep response is byte-identical to a
-// single-node response for the same matrix.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-type apiError struct {
-	Error string `json:"error"`
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, apiError{Error: fmt.Sprintf(format, args...)})
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req server.SweepRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxCellBody)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !server.DecodeBody(w, r, &req) {
 		return
 	}
 	resp, err := s.coord.Sweep(r.Context(), &req)
 	switch {
 	case errors.Is(err, ErrNoNodes):
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		server.WriteError(w, http.StatusServiceUnavailable, "%v", err)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusServiceUnavailable, "sweep aborted: %v", err)
+		server.WriteError(w, http.StatusServiceUnavailable, "sweep aborted: %v", err)
 	case err != nil:
 		// Matrix validation failures — the same field-precise errors a
 		// worker would return for the request.
-		writeError(w, http.StatusBadRequest, "%v", err)
+		server.WriteError(w, http.StatusBadRequest, "%v", err)
 	default:
-		writeJSON(w, http.StatusOK, resp)
+		server.WriteJSON(w, http.StatusOK, resp)
 	}
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req server.SimulateRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxCellBody)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !server.DecodeBody(w, r, &req) {
 		return
 	}
 	if req.Trace {
-		writeError(w, http.StatusBadRequest,
+		server.WriteError(w, http.StatusBadRequest,
 			"trace requests are not supported in coordinator mode: the artifact is worker-local; POST the request to a worker directly")
 		return
 	}
 	status, body, err := s.coord.Simulate(r.Context(), &req)
 	switch {
 	case errors.Is(err, ErrNoNodes):
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		server.WriteError(w, http.StatusServiceUnavailable, "%v", err)
 	case err != nil && status == 0 && body == nil && isValidationError(err):
-		writeError(w, http.StatusBadRequest, "%v", err)
+		server.WriteError(w, http.StatusBadRequest, "%v", err)
 	case err != nil:
-		writeError(w, http.StatusBadGateway, "cluster dispatch failed: %v", err)
+		server.WriteError(w, http.StatusBadGateway, "cluster dispatch failed: %v", err)
 	default:
 		// Forward the worker's answer verbatim — status, body bytes, and
 		// content type — so proxied responses are indistinguishable from
@@ -198,30 +106,29 @@ type joinRequest struct {
 
 func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req joinRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !server.DecodeBody(w, r, &req) {
 		return
 	}
 	if req.URL == "" {
-		writeError(w, http.StatusBadRequest, "url is required")
+		server.WriteError(w, http.StatusBadRequest, "url is required")
 		return
 	}
 	if _, err := normalizeNode(req.URL); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		server.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if err := s.coord.Join(r.Context(), req.URL); err != nil {
-		writeError(w, http.StatusBadGateway, "%v", err)
+		server.WriteError(w, http.StatusBadGateway, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"joined": req.URL,
 		"nodes":  s.coord.Nodes(),
 	})
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.coord.Status())
+	server.WriteJSON(w, http.StatusOK, s.coord.Status())
 }
 
 // handleHealthz is the coordinator's readiness probe: ready while it can
@@ -231,14 +138,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	status := "ok"
 	code := http.StatusOK
 	switch {
-	case s.draining.Load():
+	case s.Draining():
 		status = "draining"
 		code = http.StatusServiceUnavailable
 	case st.LiveNodes == 0:
 		status = "no live nodes"
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]any{
+	server.WriteJSON(w, code, map[string]any{
 		"status":    status,
 		"role":      "coordinator",
 		"version":   version.Stamp(),
@@ -248,14 +155,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var b strings.Builder
-	s.mu.Lock()
-	reqs := make(map[string]int64, len(s.requests))
-	for k, v := range s.requests {
-		reqs[k] = v
-	}
-	s.mu.Unlock()
-	s.coord.renderMetrics(&b, version.Stamp(), reqs)
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write([]byte(b.String()))
+	var e server.Exposition
+	e.Family("apresd_cluster_build_info", "gauge", "Constant 1, labelled with the coordinator version stamp.")
+	e.Sample(1, "version", version.Stamp())
+	s.WriteRequests(&e, "apresd_cluster_requests_total")
+	s.coord.renderMetrics(&e)
+	e.WriteTo(w)
 }

@@ -14,18 +14,13 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 
-	"apres/internal/config"
-	"apres/internal/gpu"
 	"apres/internal/resultstore"
 	"apres/internal/twin"
-	"apres/internal/workloads"
-	"apres/internal/workspec"
 )
 
-// Engine names accepted by ParseEngine and reported in EngineOutcome.
+// Engine names accepted by ParseEngine and reported in Outcome.
 const (
 	// EngineCycleAccurate runs the real simulator. Always exact.
 	EngineCycleAccurate = twin.EngineCycleAccurate
@@ -47,53 +42,22 @@ func Engines() []string {
 // behaviour for every existing caller.
 func ParseEngine(s string) (string, error) {
 	switch s {
-	case "", EngineCycleAccurate:
+	case "":
 		return EngineCycleAccurate, nil
-	case EngineTwin:
-		return EngineTwin, nil
-	case EngineAuto:
-		return EngineAuto, nil
+	case EngineCycleAccurate, EngineTwin, EngineAuto:
+		return s, nil
 	}
 	return "", fmt.Errorf("harness: unknown engine %q (valid: %v)", s, Engines())
 }
 
 // EngineReq selects the engine for one run.
 type EngineReq struct {
-	// Engine is one of the Engine* constants; "" means cycle-accurate.
+	// Engine is one of the Engine* constants; "" defers to
+	// Runner.EngineDefault (itself cycle-accurate unless set).
 	Engine string
 	// Tolerance is the auto engine's escalation threshold on the relative
 	// IPC error bound; 0 selects the calibration's default.
 	Tolerance float64
-}
-
-// EngineOutcome is an engine-selected run's result plus its provenance.
-type EngineOutcome struct {
-	Result gpu.Result
-	// Engine is the engine that actually produced Result (auto reports
-	// what it resolved to).
-	Engine string
-	// Escalated reports that auto mode fell back to the simulator.
-	Escalated bool
-	// Bound is the twin's calibrated error bound; zero when Engine is
-	// cycle-accurate.
-	Bound twin.Bounds
-}
-
-// engineDefault resolves the Runner-level EngineDefault routing for the
-// cache-path entry points. Exact mode (or none) keeps the plain path; a
-// twin default with load statistics requested also stays exact, because
-// characterisation needs a real execution and erroring would make
-// EngineDefault unusable for mixed suites.
-func (r *Runner) engineDefault(loadStats bool) (EngineReq, bool) {
-	switch r.EngineDefault {
-	case "", EngineCycleAccurate:
-		return EngineReq{}, false
-	case EngineTwin:
-		if loadStats {
-			return EngineReq{}, false
-		}
-	}
-	return EngineReq{Engine: r.EngineDefault, Tolerance: r.EngineTolerance}, true
 }
 
 // Twin returns the Runner's analytical model (shared, lazily built).
@@ -102,150 +66,15 @@ func (r *Runner) Twin() *twin.Model {
 	return r.twinModel
 }
 
-// RunEngineNamed is RunNamed with engine selection.
-func (r *Runner) RunEngineNamed(ctx context.Context, app, cfgName string, loadStats bool, e EngineReq, o RunOpts) (EngineOutcome, error) {
-	cfg, err := NamedConfig(cfgName)
-	if err != nil {
-		return EngineOutcome{}, err
-	}
-	rw, err := resolveNamed(app)
-	if err != nil {
-		return EngineOutcome{}, err
-	}
-	return r.runEngine(ctx, rw, "name:"+cfgName, cfgName, cfg, loadStats, e, o)
-}
-
-// RunEngineConfig is RunConfigOpts with engine selection.
-func (r *Runner) RunEngineConfig(ctx context.Context, app string, cfg config.Config, loadStats bool, e EngineReq, o RunOpts) (EngineOutcome, error) {
-	if err := cfg.Validate(); err != nil {
-		return EngineOutcome{}, err
-	}
-	rw, err := resolveNamed(app)
-	if err != nil {
-		return EngineOutcome{}, err
-	}
-	digest := resultstore.ConfigDigest(cfg)
-	return r.runEngine(ctx, rw, "cfg:"+digest, "cfg:"+digest, cfg, loadStats, e, o)
-}
-
-// RunEngineSpec is RunSpec with engine selection.
-func (r *Runner) RunEngineSpec(ctx context.Context, s *workspec.Spec, cfgName string, loadStats bool, e EngineReq, o RunOpts) (EngineOutcome, error) {
-	cfg, err := NamedConfig(cfgName)
-	if err != nil {
-		return EngineOutcome{}, err
-	}
-	rw, err := resolveSpec(s)
-	if err != nil {
-		return EngineOutcome{}, err
-	}
-	return r.runEngine(ctx, rw, "name:"+cfgName, cfgName, cfg, loadStats, e, o)
-}
-
-// RunEngineSpecConfig is RunSpecConfig with engine selection.
-func (r *Runner) RunEngineSpecConfig(ctx context.Context, s *workspec.Spec, cfg config.Config, loadStats bool, e EngineReq, o RunOpts) (EngineOutcome, error) {
-	if err := cfg.Validate(); err != nil {
-		return EngineOutcome{}, err
-	}
-	rw, err := resolveSpec(s)
-	if err != nil {
-		return EngineOutcome{}, err
-	}
-	digest := resultstore.ConfigDigest(cfg)
-	return r.runEngine(ctx, rw, "cfg:"+digest, "cfg:"+digest, cfg, loadStats, e, o)
-}
-
-// runEngine dispatches one resolved run to the requested engine.
-func (r *Runner) runEngine(ctx context.Context, rw resolved, tag, label string, cfg config.Config, loadStats bool, e EngineReq, o RunOpts) (EngineOutcome, error) {
-	eng, err := ParseEngine(e.Engine)
-	if err != nil {
-		return EngineOutcome{}, err
-	}
-	exact := func(escalated bool) (EngineOutcome, error) {
-		if escalated {
-			r.mu.Lock()
-			r.stats.TwinEscalations++
-			r.mu.Unlock()
-		}
-		res, err := r.runResolved(ctx, rw, tag, label, cfg, loadStats, o)
-		if err != nil {
-			return EngineOutcome{}, err
-		}
-		return EngineOutcome{Result: res, Engine: EngineCycleAccurate, Escalated: escalated}, nil
-	}
-	// TwinServed counts answers the caller actually received from the twin,
-	// so it is bumped here at the serving decision, not inside twinServe —
-	// an auto-mode prediction that escalates was never served.
-	serveTwin := func(out EngineOutcome) (EngineOutcome, error) {
-		if out.Engine == EngineTwin {
-			r.mu.Lock()
-			r.stats.TwinServed++
-			r.mu.Unlock()
-		}
-		return out, nil
-	}
-	switch eng {
-	case EngineCycleAccurate:
-		return exact(false)
-	case EngineTwin:
-		if loadStats {
-			return EngineOutcome{}, fmt.Errorf("harness: engine %q cannot collect load statistics; use %q or %q", EngineTwin, EngineCycleAccurate, EngineAuto)
-		}
-		out, err := r.twinServe(rw, cfg)
-		if err != nil {
-			return out, err
-		}
-		return serveTwin(out)
-	default: // EngineAuto
-		if loadStats {
-			// Characterisation needs a real execution: escalate outright.
-			return exact(true)
-		}
-		out, err := r.twinServe(rw, cfg)
-		if err != nil {
-			// The twin declined (MaxCycles bound, degenerate model
-			// output): auto's contract is a correct answer, so escalate.
-			return exact(true)
-		}
-		if out.Engine == EngineCycleAccurate {
-			// The store already held an exact entry; nothing to escalate.
-			return out, nil
-		}
-		tol := e.Tolerance
-		if tol <= 0 {
-			tol = r.Twin().DefaultTolerance()
-		}
-		if out.Bound.Exceeds(tol) {
-			return exact(true)
-		}
-		return serveTwin(out)
-	}
-}
-
-// twinQuery applies the Runner's machine overrides (SMs, Adjust) and scale
-// qualification to one resolved workload, returning the (id, workload,
-// config) triple every twin query on this Runner must use. Anchors are
-// fitted at one iteration scale; a run at any other scale is off the
-// calibration set, so the id is qualified out of the anchor map and the
-// prediction carries honest unanchored bounds.
-func (r *Runner) twinQuery(rw resolved, cfg config.Config) (string, workloads.Workload, config.Config, error) {
-	if r.SMs > 0 {
-		cfg.NumSMs = r.SMs
-	}
-	if r.Adjust != nil {
-		r.Adjust(&cfg)
-		if err := cfg.Validate(); err != nil {
-			return "", workloads.Workload{}, cfg, err
-		}
-	}
-	id := rw.id
+// twinID qualifies a workload identity for twin queries. Anchors are fitted
+// at one iteration scale; a run at any other scale is off the calibration
+// set, so its id is qualified out of the anchor map and the prediction
+// carries honest unanchored bounds.
+func (r *Runner) twinID(id string) string {
 	if r.Scale != r.Twin().Calibration().Scale {
-		id = fmt.Sprintf("%s@scale=%g", rw.id, r.Scale)
+		return fmt.Sprintf("%s@scale=%g", id, r.Scale)
 	}
-	w := rw.w
-	if r.Scale != 1 {
-		w.Kernel = w.Kernel.Scaled(r.Scale)
-	}
-	return id, w, cfg, nil
+	return id
 }
 
 // TwinSpeedups answers the Figure-10 scheduler-variant axis for one
@@ -254,19 +83,11 @@ func (r *Runner) twinQuery(rw resolved, cfg config.Config) (string, workloads.Wo
 // twin.SchedulerVariants; answers cost microseconds and never occupy the
 // worker pool.
 func (r *Runner) TwinSpeedups(app, cfgName string) (map[string]float64, error) {
-	cfg, err := NamedConfig(cfgName)
+	c, err := r.resolve(Request{Workload: app, Config: cfgName})
 	if err != nil {
 		return nil, err
 	}
-	rw, err := resolveNamed(app)
-	if err != nil {
-		return nil, err
-	}
-	id, w, cfg, err := r.twinQuery(rw, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return r.Twin().Speedups(id, w, cfg)
+	return r.Twin().Speedups(r.twinID(c.id), c.w, c.cfg)
 }
 
 // TwinDRAMPoint is one point of an analytically predicted DRAM-bandwidth
@@ -290,28 +111,20 @@ func (r *Runner) TwinDRAMBandwidth(app, cfgName string, intervals []int) ([]Twin
 	if len(intervals) == 0 {
 		return nil, fmt.Errorf("harness: no DRAM service intervals given")
 	}
-	cfg, err := NamedConfig(cfgName)
+	cell, err := r.resolve(Request{Workload: app, Config: cfgName})
 	if err != nil {
 		return nil, err
 	}
-	rw, err := resolveNamed(app)
-	if err != nil {
-		return nil, err
-	}
-	id, w, cfg, err := r.twinQuery(rw, cfg)
-	if err != nil {
-		return nil, err
-	}
-	m := r.Twin()
+	m, id := r.Twin(), r.twinID(cell.id)
 	out := make([]TwinDRAMPoint, 0, len(intervals))
 	var firstCycles int64
 	for _, v := range intervals {
-		c := cfg
+		c := cell.cfg
 		c.DRAMServiceInterval = v
 		if err := c.Validate(); err != nil {
 			return nil, fmt.Errorf("harness: DRAM interval %d: %w", v, err)
 		}
-		p, err := m.Predict(id, w, c)
+		p, err := m.Predict(id, cell.w, c)
 		if err != nil {
 			return nil, err
 		}
@@ -327,54 +140,36 @@ func (r *Runner) TwinDRAMBandwidth(app, cfgName string, intervals []int) ([]Twin
 	return out, nil
 }
 
-// twinServe answers one run from the analytical twin, store-first: an exact
-// entry under the run's key is strictly better than a prediction and is
+// twinServe answers one cell from the analytical twin, store-first: an exact
+// entry under the cell's key is strictly better than a prediction and is
 // served as cycle-accurate; a twin entry is served with its stored bounds;
 // otherwise the model predicts and the tagged result is persisted. Twin
 // queries never take a worker-pool slot and never enter the exact memo
 // cache — a prediction is microseconds, and the memo must stay exact-only.
-func (r *Runner) twinServe(rw resolved, cfg config.Config) (EngineOutcome, error) {
-	id, w, cfg, err := r.twinQuery(rw, cfg)
-	if err != nil {
-		return EngineOutcome{}, err
-	}
-	var storeKey string
-	if r.Store != nil && r.Adjust == nil {
-		storeKey = resultstore.Key(rw.id, r.Scale, false, cfg, rw.vstamp)
-		if e, ok := r.Store.Get(storeKey); ok {
-			r.mu.Lock()
-			r.stats.StoreHits++
-			r.mu.Unlock()
+func (r *Runner) twinServe(c *cell) (Outcome, error) {
+	out := Outcome{Engine: EngineTwin, Key: r.address(c)}
+	if out.Key != "" {
+		if e, ok := r.Store.Get(out.Key); ok {
+			r.count(&r.stats.StoreHits)
+			out.Result, out.Cached = e.Result, true
 			if e.Exact() {
-				return EngineOutcome{Result: e.Result, Engine: EngineCycleAccurate}, nil
+				out.Engine = EngineCycleAccurate
+			} else {
+				out.Bound = twin.Bounds{IPCRel: e.ErrorBoundIPC, L1HitAbs: e.ErrorBoundL1}
 			}
-			return EngineOutcome{
-				Result: e.Result,
-				Engine: EngineTwin,
-				Bound:  twin.Bounds{IPCRel: e.ErrorBoundIPC, L1HitAbs: e.ErrorBoundL1},
-			}, nil
+			return out, nil
 		}
 	}
-
-	p, err := r.Twin().Predict(id, w, cfg)
+	p, err := r.Twin().Predict(r.twinID(c.id), c.w, c.cfg)
 	if err != nil {
-		return EngineOutcome{}, err
+		return Outcome{}, err
 	}
-	res := p.Result()
-	if storeKey != "" {
-		if err := r.Store.Put(storeKey, resultstore.Entry{
-			Workload:      rw.id,
-			Scale:         r.Scale,
-			Version:       rw.vstamp,
-			Engine:        twin.EngineTwin,
-			ErrorBoundIPC: p.Bounds.IPCRel,
-			ErrorBoundL1:  p.Bounds.L1HitAbs,
-			Result:        res,
-		}); err != nil {
-			r.mu.Lock()
-			r.stats.StoreErrors++
-			r.mu.Unlock()
-		}
-	}
-	return EngineOutcome{Result: res, Engine: EngineTwin, Bound: p.Bounds}, nil
+	out.Result, out.Bound = p.Result(), p.Bounds
+	r.put(c, resultstore.Entry{
+		Engine:        twin.EngineTwin,
+		ErrorBoundIPC: p.Bounds.IPCRel,
+		ErrorBoundL1:  p.Bounds.L1HitAbs,
+		Result:        out.Result,
+	})
+	return out, nil
 }

@@ -137,10 +137,6 @@ func TestAutoEscalatesExactlyAtTolerance(t *testing.T) {
 func TestEscalationOverwritesTwinStoreEntry(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
-	cfg, err := NamedConfig("base")
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	// 1. A twin query persists a tagged, bounded entry.
 	r1 := storeRunner(t, dir)
@@ -148,7 +144,7 @@ func TestEscalationOverwritesTwinStoreEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := r1.StoreKey("SP", cfg, false)
+	key := tw.Key
 	e, ok := r1.Store.Get(key)
 	if !ok {
 		t.Fatal("twin answer not persisted")
@@ -246,7 +242,7 @@ func TestEngineDefaultRouting(t *testing.T) {
 	if st := r.Stats(); st.Simulations != 0 || st.TwinServed != 1 {
 		t.Fatalf("EngineDefault=twin stats %+v, want an analytical answer", st)
 	}
-	if _, err := r.RunWithLoadStats("SP", "base"); err != nil {
+	if _, err := r.RunNamed(context.Background(), "SP", "base", true, RunOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	if st := r.Stats(); st.Simulations != 1 {

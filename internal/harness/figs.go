@@ -58,30 +58,39 @@ func (r *Runner) chart(title string, apps []string, specs []seriesSpec) (*Chart,
 	return &Chart{Title: title, Apps: apps, Series: series}, nil
 }
 
+// metricOf returns the per-app evaluation of one metric of the run under
+// cfgName.
+func (r *Runner) metricOf(cfgName string, metric func(*gpu.Result) float64) func(app string) (float64, error) {
+	return func(a string) (float64, error) {
+		res, err := r.Run(a, cfgName)
+		return metric(&res), err
+	}
+}
+
+func coldMissRate(res *gpu.Result) float64       { return res.Total.ColdMissRate() }
+func capConfMissRate(res *gpu.Result) float64    { return res.Total.CapConfMissRate() }
+func earlyEvictionRatio(res *gpu.Result) float64 { return res.Total.EarlyEvictionRatio() }
+
+// speedups charts the speedup over the baseline, a series per configuration.
+func (r *Runner) speedups(title string, apps, cfgs []string) (*Chart, error) {
+	var specs []seriesSpec
+	for _, cfg := range cfgs {
+		cfg := cfg
+		specs = append(specs, seriesSpec{cfg, func(a string) (float64, error) { return r.speedup(a, cfg) }})
+	}
+	return r.chart(title, apps, specs)
+}
+
 // Fig2 reproduces Figure 2: the L1 miss-rate breakdown into cold vs
 // capacity+conflict misses for the 32 KB baseline (B) and the hypothetical
 // 32 MB L1 (C), plus the speedup of C over B.
 func (r *Runner) Fig2(apps []string) (*Chart, error) {
 	specs := []seriesSpec{
-		{"B cold", func(a string) (float64, error) {
-			res, err := r.Run(a, "base")
-			return res.Total.ColdMissRate(), err
-		}},
-		{"B cap+conf", func(a string) (float64, error) {
-			res, err := r.Run(a, "base")
-			return res.Total.CapConfMissRate(), err
-		}},
-		{"C cold", func(a string) (float64, error) {
-			res, err := r.Run(a, "l1-32mb")
-			return res.Total.ColdMissRate(), err
-		}},
-		{"C cap+conf", func(a string) (float64, error) {
-			res, err := r.Run(a, "l1-32mb")
-			return res.Total.CapConfMissRate(), err
-		}},
-		{"C speedup", func(a string) (float64, error) {
-			return r.speedup(a, "l1-32mb")
-		}},
+		{"B cold", r.metricOf("base", coldMissRate)},
+		{"B cap+conf", r.metricOf("base", capConfMissRate)},
+		{"C cold", r.metricOf("l1-32mb", coldMissRate)},
+		{"C cap+conf", r.metricOf("l1-32mb", capConfMissRate)},
+		{"C speedup", func(a string) (float64, error) { return r.speedup(a, "l1-32mb") }},
 	}
 	return r.chart("Figure 2: L1 miss breakdown, 32KB baseline (B) vs 32MB (C)", apps, specs)
 }
@@ -95,28 +104,39 @@ var Fig3Combos = []string{
 // Fig3 reproduces Figure 3: speedup of existing warp schedulers combined
 // with the STR and SLD prefetchers, normalised to the LRR baseline.
 func (r *Runner) Fig3(apps []string) (*Chart, error) {
+	return r.speedups("Figure 3: scheduling x prefetching speedup over baseline", apps, Fig3Combos)
+}
+
+// perConfig charts one metric of a run, a series per configuration. With
+// normalise set, each value is divided by the same metric of the app's
+// baseline run (0 when that is 0).
+func (r *Runner) perConfig(title string, apps, cfgs []string, normalise bool, metric func(*gpu.Result) float64) (*Chart, error) {
 	var specs []seriesSpec
-	for _, combo := range Fig3Combos {
-		combo := combo
-		specs = append(specs, seriesSpec{combo, func(a string) (float64, error) {
-			return r.speedup(a, combo)
+	for _, cfg := range cfgs {
+		cfg := cfg
+		specs = append(specs, seriesSpec{cfg, func(a string) (float64, error) {
+			res, err := r.Run(a, cfg)
+			if err != nil || !normalise {
+				return metric(&res), err
+			}
+			base, err := r.Run(a, "base")
+			if err != nil || metric(&base) == 0 {
+				return 0, err
+			}
+			return metric(&res) / metric(&base), nil
 		}})
 	}
-	return r.chart("Figure 3: scheduling x prefetching speedup over baseline", apps, specs)
+	return r.chart(title, apps, specs)
 }
+
+// versusCCWSSTR lists the two configurations Figures 12-15 compare.
+var versusCCWSSTR = []string{"ccws+str", "apres"}
 
 // Fig4 reproduces Figure 4: the early-eviction ratio of the STR prefetcher
 // under the four existing schedulers.
 func (r *Runner) Fig4(apps []string) (*Chart, error) {
-	var specs []seriesSpec
-	for _, sched := range []string{"pa", "gto", "mascar", "ccws"} {
-		combo := sched + "+str"
-		specs = append(specs, seriesSpec{combo, func(a string) (float64, error) {
-			res, err := r.Run(a, combo)
-			return res.Total.EarlyEvictionRatio(), err
-		}})
-	}
-	return r.chart("Figure 4: early eviction ratio of STR prefetching", apps, specs)
+	return r.perConfig("Figure 4: early eviction ratio of STR prefetching", apps,
+		[]string{"pa+str", "gto+str", "mascar+str", "ccws+str"}, false, earlyEvictionRatio)
 }
 
 // Fig10Configs lists the five techniques Figure 10 compares.
@@ -125,14 +145,7 @@ var Fig10Configs = []string{"ccws", "laws", "ccws+str", "laws+str", "apres"}
 // Fig10 reproduces Figure 10: IPC of CCWS, LAWS, CCWS+STR, LAWS+STR and
 // APRES normalised to the baseline.
 func (r *Runner) Fig10(apps []string) (*Chart, error) {
-	var specs []seriesSpec
-	for _, cfg := range Fig10Configs {
-		cfg := cfg
-		specs = append(specs, seriesSpec{cfg, func(a string) (float64, error) {
-			return r.speedup(a, cfg)
-		}})
-	}
-	return r.chart("Figure 10: speedup over baseline", apps, specs)
+	return r.speedups("Figure 10: speedup over baseline", apps, Fig10Configs)
 }
 
 // Fig11Configs maps Figure 11's column letters to configurations
@@ -145,29 +158,19 @@ var Fig11Configs = []struct{ Letter, Config string }{
 // hit-after-miss, cold miss, and capacity+conflict miss fractions under the
 // five configurations.
 func (r *Runner) Fig11(apps []string) (*Chart, error) {
-	type comp struct {
+	comps := []struct {
 		name string
-		f    func(res gpu.Result) float64
-	}
-	comps := []comp{
-		{"hitH", func(res gpu.Result) float64 {
-			return frac(res.Total.L1HitAfterHit, res.Total.L1Accesses)
-		}},
-		{"hitM", func(res gpu.Result) float64 {
-			return frac(res.Total.L1HitAfterMiss, res.Total.L1Accesses)
-		}},
-		{"cold", func(res gpu.Result) float64 { return res.Total.ColdMissRate() }},
-		{"cap+c", func(res gpu.Result) float64 { return res.Total.CapConfMissRate() }},
+		f    func(*gpu.Result) float64
+	}{
+		{"hitH", func(res *gpu.Result) float64 { return frac(res.Total.L1HitAfterHit, res.Total.L1Accesses) }},
+		{"hitM", func(res *gpu.Result) float64 { return frac(res.Total.L1HitAfterMiss, res.Total.L1Accesses) }},
+		{"cold", coldMissRate},
+		{"cap+c", capConfMissRate},
 	}
 	var specs []seriesSpec
 	for _, fc := range Fig11Configs {
-		fc := fc
 		for _, cm := range comps {
-			cm := cm
-			specs = append(specs, seriesSpec{fc.Letter + " " + cm.name, func(a string) (float64, error) {
-				res, err := r.Run(a, fc.Config)
-				return cm.f(res), err
-			}})
+			specs = append(specs, seriesSpec{fc.Letter + " " + cm.name, r.metricOf(fc.Config, cm.f)})
 		}
 	}
 	return r.chart("Figure 11: cache hit and miss breakdown (fractions of L1 accesses)", apps, specs)
@@ -182,88 +185,27 @@ func frac(n, d int64) float64 {
 
 // Fig12 reproduces Figure 12: early eviction ratio of CCWS+STR vs APRES.
 func (r *Runner) Fig12(apps []string) (*Chart, error) {
-	var specs []seriesSpec
-	for _, cfg := range []string{"ccws+str", "apres"} {
-		cfg := cfg
-		specs = append(specs, seriesSpec{cfg, func(a string) (float64, error) {
-			res, err := r.Run(a, cfg)
-			return res.Total.EarlyEvictionRatio(), err
-		}})
-	}
-	return r.chart("Figure 12: early eviction ratio, CCWS+STR vs APRES", apps, specs)
+	return r.perConfig("Figure 12: early eviction ratio, CCWS+STR vs APRES", apps, versusCCWSSTR, false, earlyEvictionRatio)
 }
 
 // Fig13 reproduces Figure 13: average memory latency of CCWS+STR and APRES
 // normalised to the baseline.
 func (r *Runner) Fig13(apps []string) (*Chart, error) {
-	var specs []seriesSpec
-	for _, cfg := range []string{"ccws+str", "apres"} {
-		cfg := cfg
-		specs = append(specs, seriesSpec{cfg, func(a string) (float64, error) {
-			base, err := r.Run(a, "base")
-			if err != nil {
-				return 0, err
-			}
-			res, err := r.Run(a, cfg)
-			if err != nil {
-				return 0, err
-			}
-			bl := base.Total.AvgMemLatency()
-			if bl == 0 {
-				return 0, nil
-			}
-			return res.Total.AvgMemLatency() / bl, nil
-		}})
-	}
-	return r.chart("Figure 13: average memory latency normalised to baseline", apps, specs)
+	return r.perConfig("Figure 13: average memory latency normalised to baseline", apps, versusCCWSSTR, true,
+		func(res *gpu.Result) float64 { return res.Total.AvgMemLatency() })
 }
 
 // Fig14 reproduces Figure 14: memory-to-SM data traffic of CCWS+STR and
 // APRES normalised to the baseline.
 func (r *Runner) Fig14(apps []string) (*Chart, error) {
-	var specs []seriesSpec
-	for _, cfg := range []string{"ccws+str", "apres"} {
-		cfg := cfg
-		specs = append(specs, seriesSpec{cfg, func(a string) (float64, error) {
-			base, err := r.Run(a, "base")
-			if err != nil {
-				return 0, err
-			}
-			res, err := r.Run(a, cfg)
-			if err != nil {
-				return 0, err
-			}
-			if base.Total.BytesToSM == 0 {
-				return 0, nil
-			}
-			return float64(res.Total.BytesToSM) / float64(base.Total.BytesToSM), nil
-		}})
-	}
-	return r.chart("Figure 14: data traffic normalised to baseline", apps, specs)
+	return r.perConfig("Figure 14: data traffic normalised to baseline", apps, versusCCWSSTR, true,
+		func(res *gpu.Result) float64 { return float64(res.Total.BytesToSM) })
 }
 
 // Fig15 reproduces Figure 15: dynamic energy of CCWS+STR and APRES
 // normalised to the baseline, under the event-energy model.
 func (r *Runner) Fig15(apps []string) (*Chart, error) {
 	model := energy.Default()
-	var specs []seriesSpec
-	for _, cfg := range []string{"ccws+str", "apres"} {
-		cfg := cfg
-		specs = append(specs, seriesSpec{cfg, func(a string) (float64, error) {
-			base, err := r.Run(a, "base")
-			if err != nil {
-				return 0, err
-			}
-			res, err := r.Run(a, cfg)
-			if err != nil {
-				return 0, err
-			}
-			be := model.Estimate(&base.Total).Dynamic()
-			if be == 0 {
-				return 0, nil
-			}
-			return model.Estimate(&res.Total).Dynamic() / be, nil
-		}})
-	}
-	return r.chart("Figure 15: dynamic energy normalised to baseline", apps, specs)
+	return r.perConfig("Figure 15: dynamic energy normalised to baseline", apps, versusCCWSSTR, true,
+		func(res *gpu.Result) float64 { return model.Estimate(&res.Total).Dynamic() })
 }

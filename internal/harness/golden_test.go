@@ -149,20 +149,20 @@ func TestRepeatedParallelRunDeterminism(t *testing.T) {
 	}
 	hashes := make(map[string][]int)
 	for i := 0; i < 10; i++ {
-		// A fresh Runner per iteration: RunTraced already bypasses every
-		// cache, but nothing here may be answered warm even by accident.
+		// A fresh Runner per iteration: a traced Request already bypasses
+		// every cache, but nothing here may be answered warm even by accident.
 		r := NewRunner(goldenScale, goldenSMs)
 		r.Jobs = 8
 		var buf bytes.Buffer
 		tr := trace.New(trace.NewJSONSink(&buf), 500)
-		res, err := r.RunTracedOpts(context.Background(), "SP", cfg, true, tr, RunOpts{SMJobs: 8})
+		out, err := r.Do(context.Background(), Request{Workload: "SP", Inline: cfg, LoadStats: true, Tracer: tr, RunOpts: RunOpts{SMJobs: 8}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := tr.Close(); err != nil {
 			t.Fatal(err)
 		}
-		stats, err := json.Marshal(res)
+		stats, err := json.Marshal(out.Result)
 		if err != nil {
 			t.Fatal(err)
 		}

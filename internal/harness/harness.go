@@ -6,6 +6,7 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -19,6 +20,7 @@ import (
 	"apres/internal/twin"
 	"apres/internal/version"
 	"apres/internal/workloads"
+	"apres/internal/workspec"
 )
 
 // NamedConfig resolves the configuration names the experiments use:
@@ -75,9 +77,19 @@ func NamedConfig(name string) (config.Config, error) {
 	return c, nil
 }
 
+// runKey identifies one exact run in the memo and singleflight maps: the
+// workload identity, the configuration (by name or by content digest) and
+// the load-stats flag.
 type runKey struct {
 	app, cfg  string
 	loadStats bool
+}
+
+// memoEntry is one memoised exact result with its store address, so a memo
+// hit reports the address without hashing the run again.
+type memoEntry struct {
+	res gpu.Result
+	key string
 }
 
 // Runner executes and caches simulation runs. All methods are safe for
@@ -109,20 +121,19 @@ type Runner struct {
 	// CLIs and the daemon. Runs under a non-nil Adjust hook bypass the
 	// store: the hook's effect cannot be content-addressed.
 	Store *resultstore.Store
-	// EngineDefault, when set to EngineTwin or EngineAuto, routes every
-	// cache-path run (Run/RunConfig/RunSpec and everything built on them,
-	// e.g. the paper figures) through the engine selector, so a whole
-	// experiment suite can be served analytically. Load-characterisation
-	// runs always execute for real (twin falls back to exact, auto counts
-	// an escalation), and traced runs are unaffected. "" or
-	// EngineCycleAccurate keep the exact path.
+	// EngineDefault serves every Request that names no engine (the paper
+	// figures, for one), so a whole experiment suite can be answered
+	// analytically. Requests that need a real execution — load statistics,
+	// a tracer — still get one: a twin default steps aside for them, an
+	// auto default counts an escalation. "" or EngineCycleAccurate keep
+	// the exact path.
 	EngineDefault string
 	// EngineTolerance is the auto escalation threshold used with
 	// EngineDefault (0 = calibration default).
 	EngineTolerance float64
 
 	mu       sync.Mutex
-	cache    map[runKey]gpu.Result
+	cache    map[runKey]memoEntry
 	inflight map[runKey]*inflightRun
 	sem      chan struct{}
 	stats    RunStats
@@ -143,7 +154,7 @@ func NewRunner(scale float64, sms int) *Runner {
 	return &Runner{
 		Scale:    scale,
 		SMs:      sms,
-		cache:    make(map[runKey]gpu.Result),
+		cache:    make(map[runKey]memoEntry),
 		inflight: make(map[runKey]*inflightRun),
 	}
 }
@@ -156,300 +167,325 @@ type RunOpts struct {
 	SMJobs int
 }
 
-// Run simulates workload app under the named configuration, memoising the
-// result.
+// Request names one cell — a workload under a configuration — and how to
+// answer it. Exactly one of Workload and Spec selects the workload; Config
+// names the configuration, and when it is empty Inline is the configuration.
+type Request struct {
+	// Workload is a Table-IV benchmark name.
+	Workload string
+	// Spec is a declarative workload, keyed everywhere by its canonical
+	// content digest.
+	Spec *workspec.Spec
+	// Config is a NamedConfig name.
+	Config string
+	// Inline is the full configuration of a request without a Config name.
+	Inline config.Config
+	// LoadStats collects per-PC load characterisation (Table I); it needs a
+	// real execution.
+	LoadStats bool
+	// Tracer, when non-nil, is attached to the run, which then always
+	// executes: a trace is a property of an actual execution, so the memo,
+	// the singleflight map and the store are bypassed (the worker pool is
+	// not). The caller owns the tracer and closes it after the run.
+	Tracer *trace.Tracer
+	// EngineReq picks the engine; its zero value defers to
+	// Runner.EngineDefault and Runner.EngineTolerance.
+	EngineReq
+	RunOpts
+}
+
+// Outcome is a Request's result plus its provenance.
+type Outcome struct {
+	Result gpu.Result
+	// Engine is the engine that actually produced Result (auto reports
+	// what it resolved to).
+	Engine string
+	// Escalated reports that auto mode fell back to the simulator.
+	Escalated bool
+	// Bound is the twin's calibrated error bound; zero when Engine is
+	// cycle-accurate.
+	Bound twin.Bounds
+	// Key is the run's content address in the persistent store, where
+	// Result can be fetched again; "" when the Runner has no store, an
+	// Adjust hook makes its runs non-addressable, or the run was traced.
+	Key string
+	// Cached reports that Result was found — in the memo or in the store —
+	// rather than computed by this call. It is set where the hit happens.
+	Cached bool
+}
+
+// Run simulates workload app under the named configuration.
 func (r *Runner) Run(app, cfgName string) (gpu.Result, error) {
-	return r.RunContext(context.Background(), app, cfgName)
+	return result(r.Do(context.Background(), Request{Workload: app, Config: cfgName}))
 }
 
-// RunContext is Run with cooperative cancellation: ctx bounds both the
-// wait for a worker-pool slot and the simulation itself.
-func (r *Runner) RunContext(ctx context.Context, app, cfgName string) (gpu.Result, error) {
-	return r.run(ctx, app, cfgName, false, RunOpts{})
-}
-
-// RunWithLoadStats is Run with per-PC characterisation enabled.
-func (r *Runner) RunWithLoadStats(app, cfgName string) (gpu.Result, error) {
-	return r.run(context.Background(), app, cfgName, true, RunOpts{})
-}
-
-// RunWithLoadStatsContext is RunWithLoadStats with cancellation.
-func (r *Runner) RunWithLoadStatsContext(ctx context.Context, app, cfgName string) (gpu.Result, error) {
-	return r.run(ctx, app, cfgName, true, RunOpts{})
-}
-
-// RunNamed is the fully general named-config entry point: cancellation,
-// load-stats opt-in, and per-call execution overrides. The daemon uses it
-// to honour per-request "sm_jobs".
+// RunNamed is Run with cancellation, load-stats opt-in and per-call
+// execution overrides.
 func (r *Runner) RunNamed(ctx context.Context, app, cfgName string, loadStats bool, o RunOpts) (gpu.Result, error) {
-	return r.run(ctx, app, cfgName, loadStats, o)
+	return result(r.Do(ctx, Request{Workload: app, Config: cfgName, LoadStats: loadStats, RunOpts: o}))
 }
 
-func (r *Runner) run(ctx context.Context, app, cfgName string, loadStats bool, o RunOpts) (gpu.Result, error) {
-	cfg, err := NamedConfig(cfgName)
-	if err != nil {
-		return gpu.Result{}, err
-	}
-	res, err := resolveNamed(app)
-	if err != nil {
-		return gpu.Result{}, err
-	}
-	if e, ok := r.engineDefault(loadStats); ok {
-		out, err := r.runEngine(ctx, res, "name:"+cfgName, cfgName, cfg, loadStats, e, o)
-		return out.Result, err
-	}
-	return r.runResolved(ctx, res, "name:"+cfgName, cfgName, cfg, loadStats, o)
+// RunEngineNamed is RunNamed with engine selection and provenance.
+func (r *Runner) RunEngineNamed(ctx context.Context, app, cfgName string, loadStats bool, e EngineReq, o RunOpts) (Outcome, error) {
+	return r.Do(ctx, Request{Workload: app, Config: cfgName, LoadStats: loadStats, EngineReq: e, RunOpts: o})
 }
 
-// resolved couples a runnable workload with its run identity: id keys the
-// memo cache and the persistent store ("KM", or a spec's content-addressed
-// label), and vstamp is the version stamp store entries carry (spec runs
-// fold the workspec schema+compiler version in, so compilation changes
-// invalidate stored spec results without touching named-workload keys).
-type resolved struct {
-	id     string
-	w      workloads.Workload
-	vstamp string
+func result(out Outcome, err error) (gpu.Result, error) { return out.Result, err }
+
+// cell is a resolved Request: what runs, and the identities it runs under.
+type cell struct {
+	// id names the workload in the memo, the store and error messages
+	// ("KM", or a spec's content-addressed SpecID); label names the
+	// configuration in error messages.
+	id, label string
+	memo      runKey
+	// w and cfg are the effective workload and configuration.
+	w   workloads.Workload
+	cfg config.Config
+	// vstamp is the version stamp the cell's store entries carry; key is
+	// its store address once address has hashed it.
+	vstamp, key string
 }
 
-func resolveNamed(app string) (resolved, error) {
-	w, ok := workloads.ByName(app)
-	if !ok {
-		return resolved{}, fmt.Errorf("harness: unknown workload %q", app)
+// address returns the cell's content address in the store, hashing it on
+// first use (a memo hit never needs to). It covers the effective run, so
+// CLI and daemon processes with the same settings share entries; it is ""
+// without a store and under Adjust, whose effect cannot be
+// content-addressed.
+func (r *Runner) address(c *cell) string {
+	if c.key == "" && r.Store != nil && r.Adjust == nil {
+		c.key = resultstore.Key(c.id, r.Scale, c.memo.loadStats, c.cfg, c.vstamp)
 	}
-	return resolved{id: app, w: w, vstamp: version.Stamp()}, nil
+	return c.key
 }
 
-// RunConfig simulates workload app under an explicit (not named)
-// configuration, sharing the Runner's memoisation, singleflight
-// deduplication, worker pool, and persistent store. The daemon uses it to
-// serve inline-config requests.
-func (r *Runner) RunConfig(ctx context.Context, app string, cfg config.Config, loadStats bool) (gpu.Result, error) {
-	return r.RunConfigOpts(ctx, app, cfg, loadStats, RunOpts{})
+// resolve validates a Request's workload and configuration and derives the
+// cell's identities.
+func (r *Runner) resolve(req Request) (cell, error) {
+	c := cell{label: req.Config, vstamp: version.Stamp()}
+	cfg := req.Inline
+	if req.Config != "" {
+		var err error
+		if cfg, err = NamedConfig(req.Config); err != nil {
+			return cell{}, err
+		}
+		c.memo.cfg = "name:" + req.Config
+	} else {
+		if err := cfg.Validate(); err != nil {
+			return cell{}, err
+		}
+		c.label = "cfg:" + resultstore.ConfigDigest(cfg)
+		c.memo.cfg = c.label
+	}
+	if req.Spec != nil {
+		w, err := req.Spec.Compile()
+		if err != nil {
+			return cell{}, err
+		}
+		// Spec entries fold the workspec schema+compiler version into
+		// their stamp, so a compilation change invalidates them without
+		// touching named-workload keys.
+		c.id, c.w, c.vstamp = SpecID(req.Spec), w, c.vstamp+"+"+workspec.VersionTag()
+	} else {
+		w, ok := workloads.ByName(req.Workload)
+		if !ok {
+			return cell{}, fmt.Errorf("harness: unknown workload %q", req.Workload)
+		}
+		c.id, c.w = req.Workload, w
+	}
+	c.memo.app, c.memo.loadStats = c.id, req.LoadStats
+	var err error
+	c.cfg, c.w, err = r.effective(cfg, c.w)
+	return c, err
 }
 
-// RunConfigOpts is RunConfig with per-call execution overrides.
-func (r *Runner) RunConfigOpts(ctx context.Context, app string, cfg config.Config, loadStats bool, o RunOpts) (gpu.Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return gpu.Result{}, err
-	}
-	res, err := resolveNamed(app)
-	if err != nil {
-		return gpu.Result{}, err
-	}
-	digest := resultstore.ConfigDigest(cfg)
-	if e, ok := r.engineDefault(loadStats); ok {
-		out, err := r.runEngine(ctx, res, "cfg:"+digest, "cfg:"+digest, cfg, loadStats, e, o)
-		return out.Result, err
-	}
-	return r.runResolved(ctx, res, "cfg:"+digest, "cfg:"+digest, cfg, loadStats, o)
-}
-
-// RunTraced simulates workload app under an explicit configuration with
-// the given tracer attached. Traced runs bypass the memo cache, the
-// singleflight map, and the persistent store — a trace is a property of an
-// actual execution, and a cached result has none — but they still funnel
-// through the worker pool, so traced requests cannot oversubscribe the
-// machine. The caller owns tr and must Close it after the run.
-func (r *Runner) RunTraced(ctx context.Context, app string, cfg config.Config, loadStats bool, tr *trace.Tracer) (gpu.Result, error) {
-	return r.RunTracedOpts(ctx, app, cfg, loadStats, tr, RunOpts{})
-}
-
-// RunTracedOpts is RunTraced with per-call execution overrides (the traced
-// parallel engine produces the same event stream as the serial one, so a
-// traced request may carry sm_jobs too).
-func (r *Runner) RunTracedOpts(ctx context.Context, app string, cfg config.Config, loadStats bool, tr *trace.Tracer, o RunOpts) (gpu.Result, error) {
-	res, err := resolveNamed(app)
-	if err != nil {
-		return gpu.Result{}, err
-	}
-	return r.runTraced(ctx, res, cfg, loadStats, tr, o)
-}
-
-// runTraced is the shared traced-run path for named and spec workloads.
-func (r *Runner) runTraced(ctx context.Context, rw resolved, cfg config.Config, loadStats bool, tr *trace.Tracer, o RunOpts) (gpu.Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return gpu.Result{}, err
-	}
-	w := rw.w
+// effective applies the Runner's machine overrides to a configuration and
+// a workload: the SM-count override, the Adjust hook (re-validated, because
+// a hook can break a configuration) and the iteration scale. The simulator,
+// the tracer, the twin and the store key all see this one result.
+func (r *Runner) effective(cfg config.Config, w workloads.Workload) (config.Config, workloads.Workload, error) {
 	if r.SMs > 0 {
 		cfg.NumSMs = r.SMs
 	}
 	if r.Adjust != nil {
 		r.Adjust(&cfg)
 		if err := cfg.Validate(); err != nil {
-			return gpu.Result{}, err
+			return cfg, w, err
 		}
 	}
-	kern := w.Kernel
 	if r.Scale != 1 {
-		kern = kern.Scaled(r.Scale)
+		w.Kernel = w.Kernel.Scaled(r.Scale)
 	}
-	opts := []gpu.Option{gpu.WithTrace(tr)}
-	if loadStats {
-		opts = append(opts, gpu.WithLoadStats())
-	}
-	res, err := r.simulate(ctx, cfg, kern, o.SMJobs, opts...)
-	if err != nil {
-		return gpu.Result{}, fmt.Errorf("harness: %s (traced): %w", rw.id, err)
-	}
-	return res, nil
+	return cfg, w, nil
 }
 
-// runResolved is the shared memoise + singleflight + simulate path. tag
-// uniquely identifies cfg within this Runner (a name or a content digest);
-// label names the config in error messages. o never enters the key: when a
-// serial and a parallel request for the same run race, one simulates (with
-// its own engine choice) and the other joins it — legitimate only because
-// both engines produce bit-identical results.
-func (r *Runner) runResolved(ctx context.Context, rw resolved, tag, label string, cfg config.Config, loadStats bool, o RunOpts) (gpu.Result, error) {
-	k := runKey{app: rw.id, cfg: tag, loadStats: loadStats}
-	r.mu.Lock()
-	if res, ok := r.cache[k]; ok {
-		r.stats.CacheHits++
-		r.mu.Unlock()
-		return res, nil
+// Do answers one Request. It is the only path that runs a cell: resolve the
+// workload and configuration, apply the Runner's overrides, pick the engine,
+// then — for the simulator — memo, singleflight, store, worker pool,
+// simulate. The analytical twin is tried first when the engine allows it,
+// and never touches the memo or the pool.
+func (r *Runner) Do(ctx context.Context, req Request) (Outcome, error) {
+	c, err := r.resolve(req)
+	if err != nil {
+		return Outcome{}, err
 	}
-	if fl, ok := r.inflight[k]; ok {
+	// Load statistics and traces need a real execution.
+	needsRun := req.LoadStats || req.Tracer != nil
+	eng, tol := req.Engine, req.Tolerance
+	if eng == "" {
+		eng, tol = r.EngineDefault, r.EngineTolerance
+		if eng == EngineTwin && needsRun {
+			// Erroring would make EngineDefault unusable for mixed suites.
+			eng = EngineCycleAccurate
+		}
+	}
+	if eng, err = ParseEngine(eng); err != nil {
+		return Outcome{}, err
+	}
+	if eng == EngineTwin && needsRun {
+		return Outcome{}, fmt.Errorf("harness: engine %q cannot collect load statistics or traces; use %q or %q", EngineTwin, EngineCycleAccurate, EngineAuto)
+	}
+	escalated := eng == EngineAuto && needsRun
+	if eng != EngineCycleAccurate && !needsRun {
+		out, err := r.twinServe(&c)
+		if eng == EngineTwin && err != nil {
+			return Outcome{}, err
+		}
+		if eng == EngineAuto && tol <= 0 {
+			tol = r.Twin().DefaultTolerance()
+		}
+		// Auto's contract is a correct answer: a prediction the twin
+		// declined (MaxCycles bound, degenerate output) or one whose bound
+		// exceeds the tolerance escalates. An exact store entry found on
+		// the way is better than either and is served as it is.
+		if err == nil && (eng == EngineTwin || out.Engine == EngineCycleAccurate || !out.Bound.Exceeds(tol)) {
+			if out.Engine == EngineTwin {
+				// Counted here, at the serving decision: a prediction
+				// that escalates was never served.
+				r.count(&r.stats.TwinServed)
+			}
+			return out, nil
+		}
+		escalated = true
+	}
+	if escalated {
+		r.count(&r.stats.TwinEscalations)
+	}
+	out, err := r.exact(ctx, &c, req)
+	out.Escalated = escalated
+	return out, err
+}
+
+// count bumps one RunStats counter.
+func (r *Runner) count(n *int64) {
+	r.mu.Lock()
+	*n++
+	r.mu.Unlock()
+}
+
+// exact answers a cell from the simulator: memo, then singleflight, then
+// runOnce. RunOpts never enter the key: when a serial and a parallel
+// request for the same run race, one simulates (with its own engine choice)
+// and the other joins it — legitimate only because both engines produce
+// bit-identical results.
+func (r *Runner) exact(ctx context.Context, c *cell, req Request) (Outcome, error) {
+	if req.Tracer != nil {
+		res, err := r.simulate(ctx, c, req)
+		if err != nil {
+			return Outcome{}, fmt.Errorf("harness: %s (traced): %w", c.id, err)
+		}
+		return Outcome{Result: res, Engine: EngineCycleAccurate}, nil
+	}
+	for {
+		r.mu.Lock()
+		if m, ok := r.cache[c.memo]; ok {
+			r.stats.CacheHits++
+			r.mu.Unlock()
+			return Outcome{Result: m.res, Engine: EngineCycleAccurate, Key: m.key, Cached: true}, nil
+		}
+		fl, waiting := r.inflight[c.memo]
+		if !waiting {
+			break // with r.mu held: this call becomes the leader
+		}
 		// Someone is already simulating this exact run: wait for it
 		// instead of simulating twice.
 		r.stats.DedupWaits++
 		r.mu.Unlock()
 		select {
 		case <-fl.done:
-			return fl.res, fl.err
 		case <-ctx.Done():
-			return gpu.Result{}, ctx.Err()
+			return Outcome{}, ctx.Err()
+		}
+		// The leader's cancellation is its own: a follower whose context
+		// is still live asks again, and may become the leader.
+		if fl.err == nil || ctx.Err() != nil ||
+			!(errors.Is(fl.err, context.Canceled) || errors.Is(fl.err, context.DeadlineExceeded)) {
+			return fl.out, fl.err
 		}
 	}
-	if r.inflight == nil {
-		r.inflight = make(map[runKey]*inflightRun)
-	}
 	fl := &inflightRun{done: make(chan struct{})}
-	r.inflight[k] = fl
+	r.inflight[c.memo] = fl
 	r.mu.Unlock()
 
-	fl.res, fl.err = r.runOnce(ctx, rw, label, cfg, loadStats, o)
+	fl.out, fl.err = r.runOnce(ctx, c, req)
 
 	r.mu.Lock()
 	if fl.err == nil {
-		if r.cache == nil {
-			r.cache = make(map[runKey]gpu.Result)
-		}
 		// Memoise without EngineStats: the cached value stands for the
 		// simulated result — engine-independent by the bit-identical
 		// guarantee — not for any particular execution of it. Only the
-		// caller that actually ran the simulation (fl.res) sees its epoch
+		// callers of the run that actually simulated see its epoch
 		// counters.
-		cached := fl.res
-		cached.EngineStats = stats.EngineStats{}
-		r.cache[k] = cached
+		m := memoEntry{res: fl.out.Result, key: fl.out.Key}
+		m.res.EngineStats = stats.EngineStats{}
+		r.cache[c.memo] = m
 	}
-	delete(r.inflight, k)
+	delete(r.inflight, c.memo)
 	r.mu.Unlock()
 	close(fl.done)
-	return fl.res, fl.err
+	return fl.out, fl.err
 }
 
-// runOnce performs the actual simulation of one (workload, config) pair,
-// consulting the persistent store first when one is attached.
-func (r *Runner) runOnce(ctx context.Context, rw resolved, label string, cfg config.Config, loadStats bool, o RunOpts) (gpu.Result, error) {
-	w := rw.w
-	if r.SMs > 0 {
-		cfg.NumSMs = r.SMs
-	}
-	if r.Adjust != nil {
-		r.Adjust(&cfg)
-		if err := cfg.Validate(); err != nil {
-			return gpu.Result{}, err
-		}
-	}
-	kern := w.Kernel
-	if r.Scale != 1 {
-		kern = kern.Scaled(r.Scale)
-	}
-
-	// The store key hashes the final effective run (after the SMs
-	// override), so CLI and daemon processes with the same settings share
-	// entries. Adjusted runs skip the store entirely.
-	var storeKey string
-	if r.Store != nil && r.Adjust == nil {
-		storeKey = resultstore.Key(rw.id, r.Scale, loadStats, cfg, rw.vstamp)
+// runOnce performs the actual simulation of one cell, consulting the
+// persistent store first when the cell is addressable.
+func (r *Runner) runOnce(ctx context.Context, c *cell, req Request) (Outcome, error) {
+	out := Outcome{Engine: EngineCycleAccurate, Key: r.address(c)}
+	if out.Key != "" {
 		// Twin-tagged entries share keys with exact runs but are only
 		// approximations: the exact path treats them as misses, and the
 		// Put below overwrites them in place (escalation promotes an
 		// approximate entry to an exact one, never the other way).
-		if e, ok := r.Store.Get(storeKey); ok && e.Exact() {
-			r.mu.Lock()
-			r.stats.StoreHits++
-			r.mu.Unlock()
-			return e.Result, nil
+		if e, ok := r.Store.Get(out.Key); ok && e.Exact() {
+			r.count(&r.stats.StoreHits)
+			out.Result, out.Cached = e.Result, true
+			return out, nil
 		}
 	}
-
-	var opts []gpu.Option
-	if loadStats {
-		opts = append(opts, gpu.WithLoadStats())
+	var err error
+	if out.Result, err = r.simulate(ctx, c, req); err != nil {
+		return Outcome{}, fmt.Errorf("harness: %s/%s: %w", c.id, c.label, err)
 	}
-	res, err := r.simulate(ctx, cfg, kern, o.SMJobs, opts...)
-	if err != nil {
-		return gpu.Result{}, fmt.Errorf("harness: %s/%s: %w", rw.id, label, err)
-	}
-	if storeKey != "" {
-		// Stored entries carry the simulated result only: EngineStats is
-		// per-execution metadata (and sm_jobs never enters store keys), so
-		// daemons running the same workload with different engines must
-		// persist byte-identical entries.
-		stored := res
-		stored.EngineStats = stats.EngineStats{}
-		if err := r.Store.Put(storeKey, resultstore.Entry{
-			Workload:  rw.id,
-			Scale:     r.Scale,
-			LoadStats: loadStats,
-			Version:   rw.vstamp,
-			Engine:    twin.EngineCycleAccurate,
-			Result:    stored,
-		}); err != nil {
-			// A persistence failure must not fail the run; count it so
-			// metrics surface a sick store.
-			r.mu.Lock()
-			r.stats.StoreErrors++
-			r.mu.Unlock()
-		}
-	}
-	return res, nil
+	// Stored entries carry the simulated result only: EngineStats is
+	// per-execution metadata (and sm_jobs never enters store keys), so
+	// daemons running the same workload with different engines must
+	// persist byte-identical entries.
+	stored := out.Result
+	stored.EngineStats = stats.EngineStats{}
+	r.put(c, resultstore.Entry{LoadStats: req.LoadStats, Engine: twin.EngineCycleAccurate, Result: stored})
+	return out, nil
 }
 
-// Memoised reports whether a named-config run is already in the in-memory
-// cache (the daemon uses it to label responses as cached).
-func (r *Runner) Memoised(app, cfgName string, loadStats bool) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	_, ok := r.cache[runKey{app: app, cfg: "name:" + cfgName, loadStats: loadStats}]
-	return ok
-}
-
-// MemoisedConfig is Memoised for explicit-config runs.
-func (r *Runner) MemoisedConfig(app string, cfg config.Config, loadStats bool) bool {
-	tag := "cfg:" + resultstore.ConfigDigest(cfg)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	_, ok := r.cache[runKey{app: app, cfg: tag, loadStats: loadStats}]
-	return ok
-}
-
-// StoreKey returns the persistent-store key this Runner would use for the
-// given run, or "" when no store is attached (or an Adjust hook makes runs
-// non-addressable). The daemon includes it in responses so clients can
-// fetch the stored entry later.
-func (r *Runner) StoreKey(app string, cfg config.Config, loadStats bool) string {
-	if r.Store == nil || r.Adjust != nil {
-		return ""
+// put persists one addressable cell's entry. A persistence failure must not
+// fail the run; it is counted so metrics surface a sick store.
+func (r *Runner) put(c *cell, e resultstore.Entry) {
+	key := r.address(c)
+	if key == "" {
+		return
 	}
-	if r.SMs > 0 {
-		cfg.NumSMs = r.SMs
+	e.Workload, e.Scale, e.Version = c.id, r.Scale, c.vstamp
+	if err := r.Store.Put(key, e); err != nil {
+		r.count(&r.stats.StoreErrors)
 	}
-	return resultstore.Key(app, r.Scale, loadStats, cfg, version.Stamp())
 }
 
 // Series is one labelled row of per-application values.

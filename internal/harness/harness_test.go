@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -274,5 +276,23 @@ func TestAdjustHook(t *testing.T) {
 	r2.Adjust = func(c *config.Config) { c.NumSMs = 0 }
 	if _, err := r2.Run("SP", "base"); err == nil {
 		t.Fatal("invalid adjusted config accepted")
+	}
+}
+
+// TestRunnerRunSurface keeps the run path single: Do, and the three
+// one-expression wrappers the figures and the benchmark compile against.
+// A new Run*, Memoised* or *StoreKey method fails here.
+func TestRunnerRunSurface(t *testing.T) {
+	re := regexp.MustCompile(`^(Do|Run|Memoised)|StoreKey$`)
+	var got []string
+	typ := reflect.TypeOf(&Runner{})
+	for i := 0; i < typ.NumMethod(); i++ {
+		if name := typ.Method(i).Name; re.MatchString(name) {
+			got = append(got, name)
+		}
+	}
+	want := []string{"Do", "Run", "RunEngineNamed", "RunNamed"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Runner's run/peek/key methods = %v, want exactly %v", got, want)
 	}
 }

@@ -9,9 +9,7 @@ import (
 	"runtime"
 	"sync"
 
-	"apres/internal/config"
 	"apres/internal/gpu"
-	"apres/internal/kernel"
 )
 
 // RunStats counts what a Runner's cache and worker pool did. Deltas between
@@ -71,7 +69,7 @@ func (r *Runner) workers() int {
 // requests simulate once and share the result (singleflight).
 type inflightRun struct {
 	done chan struct{}
-	res  gpu.Result
+	out  Outcome
 	err  error
 }
 
@@ -108,28 +106,33 @@ func (r *Runner) PoolGauges() (capacity, busy, waiting int) {
 	return capacity, busy, int(r.waiting.Load())
 }
 
-// simulate executes one simulation under the pool's concurrency bound.
-// Every simulation the Runner performs — cached runs and sweep points
-// alike — funnels through here, so nested fan-outs (figure over series
-// over apps) never oversubscribe the machine. smJobs overrides the
-// Runner-wide SMJobs when nonzero; whichever wins, it only selects the
-// engine, never the result.
-func (r *Runner) simulate(ctx context.Context, cfg config.Config, kern kernel.Kernel, smJobs int, opts ...gpu.Option) (gpu.Result, error) {
+// simulate executes one cell under the pool's concurrency bound. Every
+// simulation the Runner performs funnels through here, so nested fan-outs
+// (figure over series over apps) never oversubscribe the machine. The
+// request's SMJobs overrides the Runner-wide one when nonzero; whichever
+// wins, it only selects the engine, never the result.
+func (r *Runner) simulate(ctx context.Context, c *cell, req Request) (gpu.Result, error) {
 	release, err := r.acquireSlot(ctx)
 	if err != nil {
 		return gpu.Result{}, err
 	}
 	defer release()
-	r.mu.Lock()
-	r.stats.Simulations++
-	r.mu.Unlock()
+	r.count(&r.stats.Simulations)
+	var opts []gpu.Option
+	if req.Tracer != nil {
+		opts = append(opts, gpu.WithTrace(req.Tracer))
+	}
+	if req.LoadStats {
+		opts = append(opts, gpu.WithLoadStats())
+	}
+	smJobs := req.SMJobs
 	if smJobs == 0 {
 		smJobs = r.SMJobs
 	}
 	if smJobs > 1 {
 		opts = append(opts, gpu.WithParallelSMs(smJobs))
 	}
-	return gpu.SimulateContext(ctx, cfg, kern, opts...)
+	return gpu.SimulateContext(ctx, c.cfg, c.w.Kernel, opts...)
 }
 
 // mapConcurrent applies f to every item using at most workers goroutines

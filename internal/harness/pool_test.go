@@ -6,9 +6,12 @@ package harness
 // count. Run with -race to check the pool's synchronisation.
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 )
 
 // poolRunner returns a small-scale Runner with the pool forced wide open,
@@ -29,11 +32,11 @@ func TestRunDeterministicSerialVsParallel(t *testing.T) {
 	serial2.Jobs = 1
 	parallel := poolRunner()
 
-	a, err := serial1.RunWithLoadStats("BFS", "apres")
+	a, err := serial1.RunNamed(context.Background(), "BFS", "apres", true, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := serial2.RunWithLoadStats("BFS", "apres")
+	b, err := serial2.RunNamed(context.Background(), "BFS", "apres", true, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +53,7 @@ func TestRunDeterministicSerialVsParallel(t *testing.T) {
 			}
 		}()
 	}
-	c, err := parallel.RunWithLoadStats("BFS", "apres")
+	c, err := parallel.RunNamed(context.Background(), "BFS", "apres", true, RunOpts{})
 	wg.Wait()
 	if err != nil {
 		t.Fatal(err)
@@ -108,6 +111,65 @@ func TestSingleflightDeduplicatesIdenticalRuns(t *testing.T) {
 		if cy != seen[0] {
 			t.Fatalf("callers observed different cycle counts: %v", seen)
 		}
+	}
+}
+
+// waitFor polls until cond holds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestFollowerOutlivesCancelledLeader: the request that happens to be
+// simulating gives up (timeout, client gone); a deduplicated request with a
+// live context must not inherit that cancellation. It asks again, becomes
+// the leader, and gets the result — at the price of exactly one more
+// simulation.
+func TestFollowerOutlivesCancelledLeader(t *testing.T) {
+	r := NewRunner(1, 0) // full scale: the leader is still running when it is cancelled
+	req := Request{Workload: "SP", Config: "base"}
+
+	leadCtx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	leadErr := make(chan error, 1)
+	go func() {
+		_, err := r.Do(leadCtx, req)
+		leadErr <- err
+	}()
+	waitFor(t, "the leader to start simulating", func() bool { return r.Stats().Simulations == 1 })
+
+	type answer struct {
+		out Outcome
+		err error
+	}
+	followed := make(chan answer, 1)
+	go func() {
+		out, err := r.Do(context.Background(), req)
+		followed <- answer{out, err}
+	}()
+	waitFor(t, "the follower to join", func() bool { return r.Stats().DedupWaits == 1 })
+
+	cancel()
+	if err := <-leadErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled leader returned %v, want context.Canceled", err)
+	}
+	a := <-followed
+	if a.err != nil {
+		t.Fatalf("follower with a live context inherited the leader's fate: %v", a.err)
+	}
+	if a.out.Result.Cycles <= 0 || a.out.Cached {
+		t.Fatalf("follower outcome cycles=%d cached=%v, want a fresh simulated result", a.out.Result.Cycles, a.out.Cached)
+	}
+	if st := r.Stats(); st.Simulations != 2 || st.CacheHits != 0 {
+		t.Fatalf("stats %+v, want exactly one simulation beyond the cancelled one", st)
+	}
+	// The follower's result was memoised like any leader's.
+	if again, err := r.Do(context.Background(), req); err != nil || !again.Cached {
+		t.Fatalf("repeat after recovery: cached=%v err=%v", again.Cached, err)
 	}
 }
 

@@ -1,24 +1,17 @@
-// Spec-driven runs: the harness entry points for declarative workloads
-// (internal/workspec). A compiled spec flows through exactly the same
-// memoisation, singleflight, worker-pool and persistent-store machinery as
-// the 15 named workloads; only its identity differs — spec runs are keyed
-// by the spec's canonical content digest, and their store entries carry the
-// workspec schema+compiler version folded into the version stamp so
-// compilation changes invalidate them independently of the model version.
+// Declarative workloads (internal/workspec) in the harness. A Request with a
+// Spec flows through Runner.Do like one of the 15 named workloads; only its
+// identity differs — spec runs are keyed by the spec's canonical content
+// digest, and their store entries carry the workspec schema+compiler
+// version folded into the version stamp so compilation changes invalidate
+// them independently of the model version.
 package harness
 
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"apres/internal/arch"
-	"apres/internal/config"
 	"apres/internal/core"
-	"apres/internal/gpu"
-	"apres/internal/resultstore"
-	"apres/internal/trace"
-	"apres/internal/version"
 	"apres/internal/workloads"
 	"apres/internal/workspec"
 )
@@ -30,116 +23,18 @@ func SpecID(s *workspec.Spec) string {
 	return "spec:" + s.Name + ":" + s.Digest()
 }
 
-// specVersionStamp folds the workspec schema+compiler version into the
-// model version stamp for spec-run store entries.
-func specVersionStamp() string {
-	return version.Stamp() + "+" + workspec.VersionTag()
-}
-
-func resolveSpec(s *workspec.Spec) (resolved, error) {
-	w, err := s.Compile()
-	if err != nil {
-		return resolved{}, err
-	}
-	return resolved{id: SpecID(s), w: w, vstamp: specVersionStamp()}, nil
-}
-
-// RunSpec simulates a compiled spec under a named configuration, with the
-// same memoisation and persistence as named workloads.
-func (r *Runner) RunSpec(ctx context.Context, s *workspec.Spec, cfgName string, loadStats bool, o RunOpts) (gpu.Result, error) {
-	cfg, err := NamedConfig(cfgName)
-	if err != nil {
-		return gpu.Result{}, err
-	}
-	rw, err := resolveSpec(s)
-	if err != nil {
-		return gpu.Result{}, err
-	}
-	if e, ok := r.engineDefault(loadStats); ok {
-		out, err := r.runEngine(ctx, rw, "name:"+cfgName, cfgName, cfg, loadStats, e, o)
-		return out.Result, err
-	}
-	return r.runResolved(ctx, rw, "name:"+cfgName, cfgName, cfg, loadStats, o)
-}
-
-// RunSpecConfig is RunSpec under an explicit configuration.
-func (r *Runner) RunSpecConfig(ctx context.Context, s *workspec.Spec, cfg config.Config, loadStats bool, o RunOpts) (gpu.Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return gpu.Result{}, err
-	}
-	rw, err := resolveSpec(s)
-	if err != nil {
-		return gpu.Result{}, err
-	}
-	digest := resultstore.ConfigDigest(cfg)
-	if e, ok := r.engineDefault(loadStats); ok {
-		out, err := r.runEngine(ctx, rw, "cfg:"+digest, "cfg:"+digest, cfg, loadStats, e, o)
-		return out.Result, err
-	}
-	return r.runResolved(ctx, rw, "cfg:"+digest, "cfg:"+digest, cfg, loadStats, o)
-}
-
-// RunSpecTraced is the traced-run path for specs: like RunTraced it
-// bypasses all caches (a trace is a property of an actual execution) but
-// still funnels through the worker pool.
-func (r *Runner) RunSpecTraced(ctx context.Context, s *workspec.Spec, cfg config.Config, loadStats bool, tr *trace.Tracer, o RunOpts) (gpu.Result, error) {
-	rw, err := resolveSpec(s)
-	if err != nil {
-		return gpu.Result{}, err
-	}
-	return r.runTraced(ctx, rw, cfg, loadStats, tr, o)
-}
-
-// SpecStoreKey returns the persistent-store key a spec run would use, or
-// "" when no store is attached (or an Adjust hook makes runs
-// non-addressable). The daemon includes it in responses.
-func (r *Runner) SpecStoreKey(s *workspec.Spec, cfg config.Config, loadStats bool) string {
-	if r.Store == nil || r.Adjust != nil {
-		return ""
-	}
-	if r.SMs > 0 {
-		cfg.NumSMs = r.SMs
-	}
-	return resultstore.Key(SpecID(s), r.Scale, loadStats, cfg, specVersionStamp())
-}
-
-// MemoisedSpec reports whether a spec run under a named configuration is
-// already in the in-memory cache.
-func (r *Runner) MemoisedSpec(s *workspec.Spec, cfgName string, loadStats bool) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	_, ok := r.cache[runKey{app: SpecID(s), cfg: "name:" + cfgName, loadStats: loadStats}]
-	return ok
-}
-
-// MemoisedSpecConfig is MemoisedSpec for explicit-config runs.
-func (r *Runner) MemoisedSpecConfig(s *workspec.Spec, cfg config.Config, loadStats bool) bool {
-	tag := "cfg:" + resultstore.ConfigDigest(cfg)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	_, ok := r.cache[runKey{app: SpecID(s), cfg: tag, loadStats: loadStats}]
-	return ok
-}
-
 // SpecSweep simulates every spec under every named configuration
 // concurrently and charts IPC (rows = configs, columns = specs by name).
 func (r *Runner) SpecSweep(ctx context.Context, specs []*workspec.Spec, cfgNames []string) (*Chart, error) {
-	type cell struct {
-		spec *workspec.Spec
-		cfg  string
-	}
-	var cells []cell
+	var cells []Request
 	for _, s := range specs {
 		for _, c := range cfgNames {
-			cells = append(cells, cell{s, c})
+			cells = append(cells, Request{Spec: s, Config: c})
 		}
 	}
-	vals, err := mapConcurrent(r.workers(), cells, func(_ int, c cell) (float64, error) {
-		res, err := r.RunSpec(ctx, c.spec, c.cfg, false, RunOpts{})
-		if err != nil {
-			return 0, err
-		}
-		return res.IPC(), nil
+	vals, err := mapConcurrent(r.workers(), cells, func(_ int, c Request) (float64, error) {
+		out, err := r.Do(ctx, c)
+		return out.Result.IPC(), err
 	})
 	if err != nil {
 		return nil, err
@@ -153,7 +48,7 @@ func (r *Runner) SpecSweep(ctx context.Context, specs []*workspec.Spec, cfgNames
 	}
 	for i, c := range cells {
 		si := i % len(cfgNames)
-		chart.Series[si].Values[c.spec.Name] = vals[i]
+		chart.Series[si].Values[c.Spec.Name] = vals[i]
 	}
 	return chart, nil
 }
@@ -173,28 +68,15 @@ func (r *Runner) SpecSweep(ctx context.Context, specs []*workspec.Spec, cfgNames
 // bursts. Iteration counts reflect the run as executed, i.e. after the
 // Runner's Scale was applied.
 func (r *Runner) MeasuredSpec(ctx context.Context, app string) (*workspec.Spec, error) {
-	res, err := r.RunWithLoadStatsContext(ctx, app, "base")
+	res, err := r.RunNamed(ctx, app, "base", true, RunOpts{})
 	if err != nil {
 		return nil, err
 	}
-	w, ok := workloads.ByName(app)
-	if !ok {
-		return nil, fmt.Errorf("harness: unknown workload %q", app)
-	}
-	stats := make([]*core.LoadStat, 0, len(res.LoadStats))
-	for _, ls := range res.LoadStats {
-		stats = append(stats, ls)
-	}
+	w, _ := workloads.ByName(app) // the run has vouched for the name
+	stats := loadsByFrequency(res)
 	if len(stats) == 0 {
 		return nil, fmt.Errorf("harness: %s: run recorded no load statistics", app)
 	}
-	// Most frequently executed loads first, like Table I.
-	sort.Slice(stats, func(i, j int) bool {
-		if stats[i].Refs != stats[j].Refs {
-			return stats[i].Refs > stats[j].Refs
-		}
-		return stats[i].PC < stats[j].PC
-	})
 
 	launches := int64(w.Kernel.TotalLaunches())
 	// Every load issues once per body pass, so the busiest load's per-warp

@@ -34,10 +34,11 @@ func TestRunSpecMatchesNamedRun(t *testing.T) {
 	r := NewRunner(0.02, 2)
 	ctx := context.Background()
 	s := testSpec(t)
-	fromSpec, err := r.RunSpec(ctx, s, "base", false, RunOpts{})
+	specOut, err := r.Do(ctx, Request{Spec: s, Config: "base"})
 	if err != nil {
-		t.Fatalf("RunSpec: %v", err)
+		t.Fatalf("spec run: %v", err)
 	}
+	fromSpec := specOut.Result
 	named, err := r.Run("SP", "base")
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -45,15 +46,16 @@ func TestRunSpecMatchesNamedRun(t *testing.T) {
 	if fromSpec.Cycles != named.Cycles || fromSpec.Total != named.Total {
 		t.Fatalf("spec run diverged: %d cycles vs %d", fromSpec.Cycles, named.Cycles)
 	}
-	if !r.MemoisedSpec(s, "base", false) {
-		t.Error("spec run not memoised")
+	if specOut.Cached {
+		t.Error("cold spec run reported cached")
 	}
-	if !r.Memoised("SP", "base", false) {
-		t.Error("named run not memoised")
-	}
-	stats := r.Stats()
-	if stats.CacheHits != 0 {
+	if stats := r.Stats(); stats.CacheHits != 0 {
 		t.Errorf("spec and named runs must be distinct cache entries, got %d hits", stats.CacheHits)
+	}
+	for _, req := range []Request{{Spec: s, Config: "base"}, {Workload: "SP", Config: "base"}} {
+		if again, err := r.Do(ctx, req); err != nil || !again.Cached {
+			t.Errorf("repeat of %q/spec=%v not memoised (cached=%v, err=%v)", req.Workload, req.Spec != nil, again.Cached, err)
+		}
 	}
 }
 
@@ -70,20 +72,16 @@ func TestSpecStoreRoundTrip(t *testing.T) {
 
 	r1 := NewRunner(0.02, 2)
 	r1.Store = st
-	cfg, err := NamedConfig("base")
+	first, err := r1.Do(ctx, Request{Spec: s, Config: "base"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := r1.SpecStoreKey(s, cfg, false)
+	key := first.Key
 	if !resultstore.ValidKey(key) {
 		t.Fatalf("bad spec store key %q", key)
 	}
-	if key == r1.StoreKey("SP", cfg, false) {
-		t.Fatal("spec and named store keys must differ")
-	}
-	first, err := r1.RunSpec(ctx, s, "base", false, RunOpts{})
-	if err != nil {
-		t.Fatal(err)
+	if named, err := r1.Do(ctx, Request{Workload: "SP", Config: "base"}); err != nil || key == named.Key {
+		t.Fatalf("spec and named store keys must differ (%q vs %q, err=%v)", key, named.Key, err)
 	}
 	e, ok := st.Get(key)
 	if !ok {
@@ -96,12 +94,12 @@ func TestSpecStoreRoundTrip(t *testing.T) {
 	// A fresh runner (cold memo cache) must be served from the store.
 	r2 := NewRunner(0.02, 2)
 	r2.Store = st
-	again, err := r2.RunSpec(ctx, s, "base", false, RunOpts{})
+	again, err := r2.Do(ctx, Request{Spec: s, Config: "base"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.Cycles != first.Cycles {
-		t.Fatal("stored spec result diverged")
+	if again.Result.Cycles != first.Result.Cycles || again.Key != key || !again.Cached {
+		t.Fatalf("stored spec result diverged (key %q cached %v)", again.Key, again.Cached)
 	}
 	if r2.Stats().StoreHits != 1 {
 		t.Errorf("want 1 store hit, got %d", r2.Stats().StoreHits)
@@ -149,11 +147,11 @@ func TestMeasuredSpec(t *testing.T) {
 	if err != nil {
 		t.Fatalf("emitted spec does not re-parse: %v", err)
 	}
-	res, err := r.RunSpec(context.Background(), reparsed, "base", false, RunOpts{})
+	out, err := r.Do(context.Background(), Request{Spec: reparsed, Config: "base"})
 	if err != nil {
 		t.Fatalf("measured spec does not simulate: %v", err)
 	}
-	if res.Cycles <= 0 {
+	if out.Result.Cycles <= 0 {
 		t.Fatal("measured spec run produced no cycles")
 	}
 	// SP has two static loads; both must survive into the spec.

@@ -76,11 +76,12 @@ func TestStoreSkippedUnderAdjust(t *testing.T) {
 	dir := t.TempDir()
 	r := storeRunner(t, dir)
 	r.Adjust = func(c *config.Config) { c.SAPPTEntries = 5 }
-	if _, err := r.Run("SP", "apres"); err != nil {
+	out, err := r.Do(context.Background(), Request{Workload: "SP", Config: "apres"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if key := r.StoreKey("SP", config.APRES(), false); key != "" {
-		t.Fatalf("StoreKey under Adjust = %q, want empty", key)
+	if out.Key != "" {
+		t.Fatalf("Key under Adjust = %q, want empty", out.Key)
 	}
 	// Nothing persisted: a fresh un-adjusted runner must simulate.
 	r2 := storeRunner(t, dir)
@@ -98,13 +99,13 @@ func TestRunConfigSharesCacheAndStore(t *testing.T) {
 	ctx := context.Background()
 
 	cfg := config.APRES()
-	a, err := r.RunConfig(ctx, "SP", cfg, false)
+	a, err := r.Do(ctx, Request{Workload: "SP", Inline: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Second identical explicit-config run: memoised.
-	if _, err := r.RunConfig(ctx, "SP", cfg, false); err != nil {
-		t.Fatal(err)
+	if again, err := r.Do(ctx, Request{Workload: "SP", Inline: cfg}); err != nil || !again.Cached || again.Key != a.Key {
+		t.Fatalf("repeat: cached=%v key=%q (first %q) err=%v", again.Cached, again.Key, a.Key, err)
 	}
 	if st := r.Stats(); st.Simulations != 1 || st.CacheHits != 1 {
 		t.Fatalf("stats = %+v, want 1 simulation + 1 cache hit", st)
@@ -121,14 +122,14 @@ func TestRunConfigSharesCacheAndStore(t *testing.T) {
 	if st := r2.Stats(); st.Simulations != 0 || st.StoreHits != 1 {
 		t.Fatalf("named-config run after explicit-config store: %+v, want pure store hit", st)
 	}
-	if a.Cycles != b.Cycles {
+	if a.Result.Cycles != b.Cycles {
 		t.Fatal("explicit and named config results differ")
 	}
 
 	// Invalid explicit configs are rejected up front.
 	bad := config.Baseline()
 	bad.NumSMs = 0
-	if _, err := r.RunConfig(ctx, "SP", bad, false); err == nil {
+	if _, err := r.Do(ctx, Request{Workload: "SP", Inline: bad}); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
@@ -137,14 +138,14 @@ func TestRunContextCancellation(t *testing.T) {
 	r := NewRunner(1, 0) // full scale: long enough to outlive the deadline
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := r.RunContext(ctx, "SP", "base"); err == nil {
+	if _, err := r.RunNamed(ctx, "SP", "base", false, RunOpts{}); err == nil {
 		t.Fatal("pre-cancelled context did not abort the run")
 	}
 
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel2()
 	start := time.Now()
-	if _, err := r.RunContext(ctx2, "KM", "base"); err == nil {
+	if _, err := r.RunNamed(ctx2, "KM", "base", false, RunOpts{}); err == nil {
 		t.Fatal("timed-out context did not abort the run")
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {

@@ -11,7 +11,6 @@ import (
 
 	"apres/internal/config"
 	"apres/internal/gpu"
-	"apres/internal/workloads"
 )
 
 // SweepPoint is one configuration point of a sensitivity sweep.
@@ -48,31 +47,20 @@ func (s *Sweep) Render() string {
 
 // sweep runs the workload across the given parameter points.
 func (r *Runner) sweep(title, app, cfgName string, points []int, label func(int) string, apply func(*config.Config, int)) (*Sweep, error) {
-	w, ok := workloads.ByName(app)
-	if !ok {
-		return nil, fmt.Errorf("harness: unknown workload %q", app)
-	}
 	base, err := NamedConfig(cfgName)
 	if err != nil {
 		return nil, err
 	}
-	if r.SMs > 0 {
-		base.NumSMs = r.SMs
-	}
-	kern := w.Kernel
-	if r.Scale != 1 {
-		kern = kern.Scaled(r.Scale)
-	}
-	// All points are independent: simulate them concurrently across the
-	// worker pool and collect in parameter order. Speedups normalise to
-	// the first point, so they are computed after collection.
+	// All points are independent: run them concurrently across the worker
+	// pool and collect in parameter order. Speedups normalise to the first
+	// point, so they are computed after collection.
 	results, err := mapConcurrent(r.workers(), points, func(_ int, v int) (gpu.Result, error) {
 		cfg := base
 		apply(&cfg, v)
 		if err := cfg.Validate(); err != nil {
 			return gpu.Result{}, fmt.Errorf("harness: sweep point %d: %w", v, err)
 		}
-		return r.simulate(context.Background(), cfg, kern, 0)
+		return result(r.Do(context.Background(), Request{Workload: app, Inline: cfg}))
 	})
 	if err != nil {
 		return nil, err

@@ -2,11 +2,13 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 
 	"apres/internal/core"
+	"apres/internal/gpu"
 )
 
 // LoadRow is one Table I row.
@@ -26,23 +28,15 @@ func (r *Runner) TableI(apps []string) ([]LoadRow, error) {
 	// Characterise each app concurrently, then flatten in app order so the
 	// table reads identically however the runs interleave.
 	perApp, err := mapConcurrent(r.workers(), apps, func(_ int, app string) ([]LoadRow, error) {
-		res, err := r.RunWithLoadStats(app, "base")
+		res, err := r.RunNamed(context.Background(), app, "base", true, RunOpts{})
 		if err != nil {
 			return nil, err
 		}
+		stats := loadsByFrequency(res)
 		var total int64
-		var stats []*core.LoadStat
-		for _, ls := range res.LoadStats {
+		for _, ls := range stats {
 			total += ls.Refs
-			stats = append(stats, ls)
 		}
-		// Most frequently executed loads first, like the paper.
-		sort.Slice(stats, func(i, j int) bool {
-			if stats[i].Refs != stats[j].Refs {
-				return stats[i].Refs > stats[j].Refs
-			}
-			return stats[i].PC < stats[j].PC
-		})
 		var rows []LoadRow
 		for _, ls := range stats {
 			stride, share := ls.DominantStride()
@@ -66,6 +60,22 @@ func (r *Runner) TableI(apps []string) ([]LoadRow, error) {
 		rows = append(rows, app...)
 	}
 	return rows, nil
+}
+
+// loadsByFrequency returns a run's per-PC load statistics, most frequently
+// executed loads first, like the paper's Table I.
+func loadsByFrequency(res gpu.Result) []*core.LoadStat {
+	stats := make([]*core.LoadStat, 0, len(res.LoadStats))
+	for _, ls := range res.LoadStats {
+		stats = append(stats, ls)
+	}
+	sort.Slice(stats, func(i, j int) bool {
+		if stats[i].Refs != stats[j].Refs {
+			return stats[i].Refs > stats[j].Refs
+		}
+		return stats[i].PC < stats[j].PC
+	})
+	return stats
 }
 
 // RenderTableI formats Table I rows as aligned text.

@@ -228,3 +228,60 @@ func httpGet(t *testing.T, url string) (*http.Response, []byte) {
 	}
 	return resp, data
 }
+
+// TestCachedIsSetWhereTheHitHappens: "cached" says where this answer came
+// from, not what a peek before the run guessed. The exact memo holding a
+// cell says nothing about a twin answer for it; a twin entry in the store
+// does; a traced run is never cached and has no key.
+func TestCachedIsSetWhereTheHitHappens(t *testing.T) {
+	simulate := func(url string, req SimulateRequest) SimulateResponse {
+		t.Helper()
+		resp, data := postJSON(t, url+"/v1/simulate", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%+v: %d %s", req, resp.StatusCode, data)
+		}
+		return decodeSimulate(t, data)
+	}
+	exact := SimulateRequest{Workload: "SP", Config: "base"}
+	twin := SimulateRequest{Workload: "SP", Config: "base", Engine: harness.EngineTwin}
+
+	// Without a store: the memo holds the exact cell, the twin never reads it.
+	bare, _ := newTestServer(t, "", 0)
+	ts := httptest.NewServer(bare)
+	defer ts.Close()
+	if out := simulate(ts.URL, exact); out.Cached {
+		t.Error("cold exact run reported cached")
+	}
+	if out := simulate(ts.URL, exact); !out.Cached {
+		t.Error("memoised exact run not reported cached")
+	}
+	if out := simulate(ts.URL, twin); out.Cached || out.Engine != harness.EngineTwin {
+		t.Errorf("fresh twin prediction: cached=%v engine=%q, want an uncached twin answer", out.Cached, out.Engine)
+	}
+
+	// With a store: the second twin answer is the first one's entry.
+	r := harness.NewRunner(0.05, 2)
+	st, err := resultstore.Open(t.TempDir(), 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Store = st
+	stored := httptest.NewServer(New(Options{Runner: r, TraceDir: t.TempDir()}))
+	defer stored.Close()
+	first := simulate(stored.URL, twin)
+	second := simulate(stored.URL, twin)
+	if first.Cached || !second.Cached || second.Key != first.Key || second.Engine != harness.EngineTwin {
+		t.Errorf("twin twice: cached %v then %v, keys %q/%q, engine %q; want false then true on one key, twin both times",
+			first.Cached, second.Cached, first.Key, second.Key, second.Engine)
+	}
+	// An exact request finds only that approximation: it simulates.
+	if out := simulate(stored.URL, exact); out.Cached || out.Key != first.Key {
+		t.Errorf("exact over a twin entry: cached=%v key=%q, want a fresh run under the same key", out.Cached, out.Key)
+	}
+
+	traced := exact
+	traced.Trace = true
+	if out := simulate(stored.URL, traced); out.Cached || out.Key != "" || out.Trace == "" {
+		t.Errorf("traced run: cached=%v key=%q trace=%q, want uncached, keyless, with an artifact", out.Cached, out.Key, out.Trace)
+	}
+}

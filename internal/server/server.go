@@ -30,10 +30,8 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -53,10 +51,6 @@ import (
 	"apres/internal/workloads"
 	"apres/internal/workspec"
 )
-
-// maxBodyBytes bounds request bodies; config JSON is tiny, but inline
-// specs may carry recorded trace records, so allow a few MB.
-const maxBodyBytes = 4 << 20
 
 // Options configures a Server.
 type Options struct {
@@ -87,20 +81,11 @@ type Options struct {
 // Server is the apresd HTTP handler. Create with New; it is safe for
 // concurrent use.
 type Server struct {
-	runner    *harness.Runner
-	timeout   time.Duration
-	mux       *http.ServeMux
-	metrics   *metrics
-	started   time.Time
-	traceDir  string
-	defEngine string
-	defTol    float64
-	shedmark  int
-
-	// draining flips once Serve begins its graceful shutdown, turning
-	// /healthz into a 503 so load balancers and cluster coordinators stop
-	// routing here before the drain completes.
-	draining atomic.Bool
+	*Skeleton
+	opts    Options
+	runner  *harness.Runner
+	metrics *metrics
+	started time.Time
 
 	traceMu  sync.Mutex
 	traces   map[string]string // trace id -> artifact path
@@ -110,99 +95,22 @@ type Server struct {
 // New builds a Server over opts.Runner.
 func New(opts Options) *Server {
 	s := &Server{
-		runner:    opts.Runner,
-		timeout:   opts.SimTimeout,
-		mux:       http.NewServeMux(),
-		metrics:   newMetrics(),
-		started:   time.Now(),
-		traceDir:  opts.TraceDir,
-		defEngine: opts.DefaultEngine,
-		defTol:    opts.DefaultTolerance,
-		shedmark:  opts.ShedWatermark,
-		traces:    make(map[string]string),
+		Skeleton: NewSkeleton(),
+		opts:     opts,
+		runner:   opts.Runner,
+		metrics:  newMetrics(),
+		started:  time.Now(),
+		traces:   make(map[string]string),
 	}
-	s.mux.HandleFunc("POST /v1/simulate", s.counted("simulate", s.handleSimulate))
-	s.mux.HandleFunc("POST /v1/sweep", s.counted("sweep", s.handleSweep))
-	s.mux.HandleFunc("GET /v1/results/{key}", s.counted("results", s.handleResult))
-	s.mux.HandleFunc("GET /v1/traces/{id}", s.counted("traces", s.handleTrace))
-	s.mux.HandleFunc("GET /v1/twin/speedups", s.counted("twin_speedups", s.handleTwinSpeedups))
-	s.mux.HandleFunc("GET /v1/twin/dram", s.counted("twin_dram", s.handleTwinDRAM))
-	s.mux.HandleFunc("GET /healthz", s.counted("healthz", s.handleHealthz))
-	s.mux.HandleFunc("GET /metrics", s.counted("metrics", s.handleMetrics))
+	s.Handle("POST /v1/simulate", "simulate", s.handleSimulate)
+	s.Handle("POST /v1/sweep", "sweep", s.handleSweep)
+	s.Handle("GET /v1/results/{key}", "results", s.handleResult)
+	s.Handle("GET /v1/traces/{id}", "traces", s.handleTrace)
+	s.Handle("GET /v1/twin/speedups", "twin_speedups", s.handleTwinSpeedups)
+	s.Handle("GET /v1/twin/dram", "twin_dram", s.handleTwinDRAM)
+	s.Handle("GET /healthz", "healthz", s.handleHealthz)
+	s.Handle("GET /metrics", "metrics", s.handleMetrics)
 	return s
-}
-
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-// Serve accepts connections on l until ctx is cancelled (cmd/apresd wires
-// SIGTERM/SIGINT to that), then drains: in-flight requests — including
-// running simulations — complete before Serve returns, bounded by drain
-// (0 = wait indefinitely). Returns nil on a clean drain.
-func (s *Server) Serve(ctx context.Context, l net.Listener, drain time.Duration) error {
-	hs := &http.Server{Handler: s}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(l) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	// Readiness goes first: /healthz answers 503 from here on, so a load
-	// balancer (or cluster coordinator) probing during the drain stops
-	// sending new work before the listener disappears.
-	s.draining.Store(true)
-	sctx := context.Background()
-	if drain > 0 {
-		var cancel context.CancelFunc
-		sctx, cancel = context.WithTimeout(sctx, drain)
-		defer cancel()
-	}
-	return hs.Shutdown(sctx)
-}
-
-// ListenAndServe is Serve over a fresh TCP listener on addr.
-func (s *Server) ListenAndServe(ctx context.Context, addr string, drain time.Duration) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ctx, l, drain)
-}
-
-// statusWriter captures the response code for request metrics.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(c int) {
-	w.code = c
-	w.ResponseWriter.WriteHeader(c)
-}
-
-// counted wraps a handler with per-endpoint request/status counting.
-func (s *Server) counted(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		h(sw, r)
-		s.metrics.countRequest(endpoint, sw.code)
-	}
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-type apiError struct {
-	Error string `json:"error"`
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, apiError{Error: fmt.Sprintf(format, args...)})
 }
 
 // SimulateRequest is the POST /v1/simulate body. Exactly one of Workload
@@ -268,102 +176,68 @@ type SimulateResponse struct {
 	ErrorBound *twin.Bounds `json:"errorBound,omitempty"`
 }
 
-// target is a resolved workload identity: a named Table-IV benchmark or an
-// inline spec. name labels responses and metrics (the benchmark name, or
-// the spec's content-addressed label).
-type target struct {
-	name string
-	spec *workspec.Spec
-}
-
-// resolveTarget validates the workload side of a request.
-func resolveTarget(req *SimulateRequest) (target, error) {
+// resolve validates the workload and configuration sides of a request and
+// translates them into the Runner's terms. name labels the workload in
+// responses and metrics (the benchmark name, or the spec's
+// content-addressed label) and label the configuration (its name, or a
+// digest label for an inline one).
+func (req *SimulateRequest) resolve() (run harness.Request, name, label string, err error) {
 	switch {
 	case req.Workload == "" && req.Spec == nil:
-		return target{}, errors.New("missing workload: set workload or spec")
+		return run, "", "", errors.New("missing workload: set workload or spec")
 	case req.Workload != "" && req.Spec != nil:
-		return target{}, errors.New("workload and spec are mutually exclusive")
+		return run, "", "", errors.New("workload and spec are mutually exclusive")
 	case req.Spec != nil:
 		if err := req.Spec.Validate(); err != nil {
-			return target{}, err
+			return run, "", "", err
 		}
-		return target{name: req.Spec.Label(), spec: req.Spec}, nil
+		run.Spec, name = req.Spec, req.Spec.Label()
 	default:
 		if _, ok := workloads.ByName(req.Workload); !ok {
-			return target{}, fmt.Errorf("unknown workload %q", req.Workload)
+			return run, "", "", fmt.Errorf("unknown workload %q", req.Workload)
 		}
-		return target{name: req.Workload}, nil
+		run.Workload, name = req.Workload, req.Workload
 	}
-}
-
-// storeKeyFor returns the persistent-store key of a target's run.
-func (s *Server) storeKeyFor(t target, cfg config.Config, loadStats bool) string {
-	if t.spec != nil {
-		return s.runner.SpecStoreKey(t.spec, cfg, loadStats)
-	}
-	return s.runner.StoreKey(t.name, cfg, loadStats)
-}
-
-// runTarget dispatches a run to the named-workload or spec path of the
-// requested engine.
-func (s *Server) runTarget(ctx context.Context, t target, cfgName string, cfg config.Config, named, loadStats bool, e harness.EngineReq, o harness.RunOpts) (harness.EngineOutcome, error) {
 	switch {
-	case t.spec != nil && named:
-		return s.runner.RunEngineSpec(ctx, t.spec, cfgName, loadStats, e, o)
-	case t.spec != nil:
-		return s.runner.RunEngineSpecConfig(ctx, t.spec, cfg, loadStats, e, o)
-	case named:
-		return s.runner.RunEngineNamed(ctx, t.name, cfgName, loadStats, e, o)
-	default:
-		return s.runner.RunEngineConfig(ctx, t.name, cfg, loadStats, e, o)
-	}
-}
-
-// resolveConfig validates a request's config side. It returns the resolved
-// configuration, a label for metrics and responses, and whether the config
-// was named (vs inline).
-func resolveConfig(req *SimulateRequest) (cfg config.Config, label string, named bool, err error) {
-	if req.Config != "" && req.ConfigInline != nil {
-		return cfg, "", false, errors.New("config and configInline are mutually exclusive")
-	}
-	if req.SMJobs < 0 {
-		return cfg, "", false, fmt.Errorf("sm_jobs must be >= 0, got %d", req.SMJobs)
-	}
-	if req.ConfigInline != nil {
-		cfg = *req.ConfigInline
-		if err := cfg.Validate(); err != nil {
-			return cfg, "", false, err
+	case req.Config != "" && req.ConfigInline != nil:
+		return run, "", "", errors.New("config and configInline are mutually exclusive")
+	case req.SMJobs < 0:
+		return run, "", "", fmt.Errorf("sm_jobs must be >= 0, got %d", req.SMJobs)
+	case req.ConfigInline != nil:
+		if err := req.ConfigInline.Validate(); err != nil {
+			return run, "", "", err
 		}
-		return cfg, "cfg:" + resultstore.ConfigDigest(cfg)[:8], false, nil
+		run.Inline, label = *req.ConfigInline, "cfg:"+resultstore.ConfigDigest(*req.ConfigInline)[:8]
+	default:
+		if label = req.Config; label == "" {
+			label = "base"
+		}
+		if _, err := harness.NamedConfig(label); err != nil {
+			return run, "", "", err
+		}
+		run.Config = label
 	}
-	name := req.Config
-	if name == "" {
-		name = "base"
-	}
-	cfg, err = harness.NamedConfig(name)
-	if err != nil {
-		return cfg, "", false, err
-	}
-	return cfg, name, true, nil
+	run.LoadStats, run.SMJobs = req.LoadStats, req.SMJobs
+	return run, name, label, nil
 }
 
 // resolveEngine applies the daemon's default engine and tolerance to a
 // request's (possibly empty) choices and validates both.
-func (s *Server) resolveEngine(engine string, tolerance float64) (string, float64, error) {
+func (s *Server) resolveEngine(engine string, tolerance float64) (harness.EngineReq, error) {
 	if engine == "" {
-		engine = s.defEngine
+		engine = s.opts.DefaultEngine
 	}
 	eng, err := harness.ParseEngine(engine)
 	if err != nil {
-		return "", 0, err
+		return harness.EngineReq{}, err
 	}
 	if tolerance < 0 {
-		return "", 0, fmt.Errorf("tolerance must be >= 0, got %g", tolerance)
+		return harness.EngineReq{}, fmt.Errorf("tolerance must be >= 0, got %g", tolerance)
 	}
 	if tolerance == 0 {
-		tolerance = s.defTol
+		tolerance = s.opts.DefaultTolerance
 	}
-	return eng, tolerance, nil
+	return harness.EngineReq{Engine: eng, Tolerance: tolerance}, nil
 }
 
 // shed applies queue-depth admission control: with a watermark configured
@@ -372,24 +246,24 @@ func (s *Server) resolveEngine(engine string, tolerance float64) (string, float6
 // before any validation work — an overloaded worker's job is to say no
 // cheaply.
 func (s *Server) shed(w http.ResponseWriter) bool {
-	if s.shedmark <= 0 {
+	if s.opts.ShedWatermark <= 0 {
 		return false
 	}
 	_, _, waiting := s.runner.PoolGauges()
-	if waiting < s.shedmark {
+	if waiting < s.opts.ShedWatermark {
 		return false
 	}
-	s.metrics.countShed()
+	s.metrics.shed.Add(1)
 	w.Header().Set("Retry-After", "1")
-	writeError(w, http.StatusTooManyRequests,
-		"overloaded: %d callers queued (shedding watermark %d); retry later", waiting, s.shedmark)
+	WriteError(w, http.StatusTooManyRequests,
+		"overloaded: %d callers queued (shedding watermark %d); retry later", waiting, s.opts.ShedWatermark)
 	return true
 }
 
 // simCtx derives the per-request simulation context.
 func (s *Server) simCtx(r *http.Request) (context.Context, context.CancelFunc) {
-	if s.timeout > 0 {
-		return context.WithTimeout(r.Context(), s.timeout)
+	if s.opts.SimTimeout > 0 {
+		return context.WithTimeout(r.Context(), s.opts.SimTimeout)
 	}
 	return context.WithCancel(r.Context())
 }
@@ -406,84 +280,109 @@ func runErrorStatus(err error) int {
 	}
 }
 
+// run sends one cell through the Runner with the daemon's bookkeeping
+// around it: the in-flight gauge, the per-configuration latency histogram
+// and, for an answered run, the engine and epoch counters.
+func (s *Server) run(ctx context.Context, req harness.Request, label string) (harness.Outcome, time.Duration, error) {
+	s.metrics.inflight.Add(1)
+	t0 := time.Now()
+	out, err := s.runner.Do(ctx, req)
+	wall := time.Since(t0)
+	s.metrics.simEnd(label, wall.Seconds(), out, err)
+	return out, wall, err
+}
+
+// errorBound returns the bound a twin-served outcome carries in a response;
+// exact outcomes carry none.
+func errorBound(out harness.Outcome) *twin.Bounds {
+	if out.Engine != harness.EngineTwin {
+		return nil
+	}
+	return &out.Bound
+}
+
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if s.shed(w) {
 		return
 	}
 	var req SimulateRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !DecodeBody(w, r, &req) {
 		return
 	}
-	tgt, err := resolveTarget(&req)
+	run, name, label, err := req.resolve()
+	if err == nil {
+		run.EngineReq, err = s.resolveEngine(req.Engine, req.Tolerance)
+	}
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	cfg, label, named, err := resolveConfig(&req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	eng, tol, err := s.resolveEngine(req.Engine, req.Tolerance)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if eng == harness.EngineTwin && (req.Trace || req.LoadStats) {
-		writeError(w, http.StatusBadRequest, "engine %q cannot serve traces or load statistics: they need a real execution (use %q or %q)",
+	if run.Engine == harness.EngineTwin && (req.Trace || req.LoadStats) {
+		WriteError(w, http.StatusBadRequest, "engine %q cannot serve traces or load statistics: they need a real execution (use %q or %q)",
 			harness.EngineTwin, harness.EngineCycleAccurate, harness.EngineAuto)
 		return
 	}
+	// A traced run always executes, with the tracer streaming to an
+	// artifact; under auto that is an escalation, and the Runner annotates
+	// it as one.
+	var art *traceArtifact
 	if req.Trace {
-		// A trace demands an actual execution; under auto that is an
-		// escalation, annotated as such in the response.
-		s.handleTracedSimulate(w, r, &req, tgt, cfg, label, eng == harness.EngineAuto)
-		return
+		var code int
+		if art, code, err = s.newTraceArtifact(name, label, req.TraceIntervalCycles); err != nil {
+			WriteError(w, code, "%v", err)
+			return
+		}
+		run.Tracer = art.tracer
 	}
-
-	key := s.storeKeyFor(tgt, cfg, req.LoadStats)
-	cached := s.cachedBefore(tgt, cfg, label, named, req.LoadStats, key)
 
 	ctx, cancel := s.simCtx(r)
 	defer cancel()
-	s.metrics.simStart()
-	t0 := time.Now()
-	out, err := s.runTarget(ctx, tgt, label, cfg, named, req.LoadStats,
-		harness.EngineReq{Engine: eng, Tolerance: tol}, harness.RunOpts{SMJobs: req.SMJobs})
-	wall := time.Since(t0)
-	s.metrics.simEnd(label, wall.Seconds())
+	out, wall, err := s.run(ctx, run, label)
+	var traceURL string
+	if art != nil {
+		traceURL, err = s.finishTrace(art, err)
+	}
 	if err != nil {
-		writeError(w, runErrorStatus(err), "%v", err)
+		WriteError(w, runErrorStatus(err), "%v", err)
 		return
 	}
-	s.metrics.countEngine(out.Engine, out.Escalated, out.Bound.IPCRel)
-	s.metrics.observeEpochs(out.Result)
-	resp := SimulateResponse{
-		Workload:  tgt.name,
-		Config:    label,
-		Key:       key,
-		Cached:    cached,
-		WallMS:    wall.Milliseconds(),
-		Version:   version.Stamp(),
-		Result:    out.Result,
-		Engine:    out.Engine,
-		Escalated: out.Escalated,
-	}
-	if out.Engine == harness.EngineTwin {
-		b := out.Bound
-		resp.ErrorBound = &b
-	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, SimulateResponse{
+		Workload:   name,
+		Config:     label,
+		Key:        out.Key,
+		Cached:     out.Cached,
+		WallMS:     wall.Milliseconds(),
+		Version:    version.Stamp(),
+		Result:     out.Result,
+		Trace:      traceURL,
+		Engine:     out.Engine,
+		Escalated:  out.Escalated,
+		ErrorBound: errorBound(out),
+	})
 }
 
 // defaultTraceInterval is the interval-sampler window (in cycles) used when
 // a traced request does not specify one.
 const defaultTraceInterval = 1000
 
-// newTraceID mints a filesystem-safe, per-process-unique trace artifact
-// name.
-func (s *Server) newTraceID(app, label string) string {
+// traceArtifact is one traced request's Chrome-trace file being written
+// under TraceDir.
+type traceArtifact struct {
+	id, path string
+	file     *os.File
+	tracer   *trace.Tracer
+}
+
+// newTraceArtifact opens the artifact for a traced run of name under label,
+// under a filesystem-safe, per-process-unique id. On failure it returns the
+// HTTP status to answer with.
+func (s *Server) newTraceArtifact(name, label string, interval int64) (*traceArtifact, int, error) {
+	if s.opts.TraceDir == "" {
+		return nil, http.StatusBadRequest, errors.New("tracing is disabled: daemon started without a trace directory")
+	}
+	if err := os.MkdirAll(s.opts.TraceDir, 0o755); err != nil {
+		return nil, http.StatusInternalServerError, fmt.Errorf("trace directory: %v", err)
+	}
 	clean := func(x string) string {
 		return strings.Map(func(r rune) rune {
 			switch {
@@ -494,75 +393,37 @@ func (s *Server) newTraceID(app, label string) string {
 			}
 		}, x)
 	}
-	return fmt.Sprintf("%s-%s-%d.json", clean(app), clean(label), s.traceSeq.Add(1))
-}
-
-// handleTracedSimulate runs one simulation with the cycle-level tracer
-// attached, streaming the Chrome-trace artifact to TraceDir. Traced runs
-// always execute (the Runner bypasses its caches for them) and never write
-// the result store, so Key is empty and Cached false in the response.
-func (s *Server) handleTracedSimulate(w http.ResponseWriter, r *http.Request, req *SimulateRequest, tgt target, cfg config.Config, label string, escalated bool) {
-	if s.traceDir == "" {
-		writeError(w, http.StatusBadRequest, "tracing is disabled: daemon started without a trace directory")
-		return
-	}
-	if err := os.MkdirAll(s.traceDir, 0o755); err != nil {
-		writeError(w, http.StatusInternalServerError, "trace directory: %v", err)
-		return
-	}
-	id := s.newTraceID(tgt.name, label)
-	path := filepath.Join(s.traceDir, id)
+	id := fmt.Sprintf("%s-%s-%d.json", clean(name), clean(label), s.traceSeq.Add(1))
+	path := filepath.Join(s.opts.TraceDir, id)
 	f, err := os.Create(path)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "trace artifact: %v", err)
-		return
+		return nil, http.StatusInternalServerError, fmt.Errorf("trace artifact: %v", err)
 	}
-	interval := req.TraceIntervalCycles
 	if interval <= 0 {
 		interval = defaultTraceInterval
 	}
-	tr := trace.New(trace.NewJSONSink(f), interval)
+	return &traceArtifact{id: id, path: path, file: f, tracer: trace.New(trace.NewJSONSink(f), interval)}, 0, nil
+}
 
-	ctx, cancel := s.simCtx(r)
-	defer cancel()
-	s.metrics.simStart()
-	t0 := time.Now()
-	var res gpu.Result
-	o := harness.RunOpts{SMJobs: req.SMJobs}
-	if tgt.spec != nil {
-		res, err = s.runner.RunSpecTraced(ctx, tgt.spec, cfg, req.LoadStats, tr, o)
-	} else {
-		res, err = s.runner.RunTracedOpts(ctx, tgt.name, cfg, req.LoadStats, tr, o)
+// finishTrace closes a traced run's artifact and, when the run and the
+// write both succeeded, registers it for download and returns its URL. A
+// failed run leaves no artifact behind.
+func (s *Server) finishTrace(art *traceArtifact, runErr error) (string, error) {
+	cerr := art.tracer.Close()
+	if err := art.file.Close(); cerr == nil {
+		cerr = err
 	}
-	wall := time.Since(t0)
-	s.metrics.simEnd(label, wall.Seconds())
-	cerr := tr.Close()
-	if err2 := f.Close(); cerr == nil {
-		cerr = err2
+	if runErr == nil && cerr != nil {
+		runErr = fmt.Errorf("writing trace: %w", cerr)
 	}
-	if err == nil && cerr != nil {
-		err = fmt.Errorf("writing trace: %w", cerr)
-	}
-	if err != nil {
-		os.Remove(path)
-		writeError(w, runErrorStatus(err), "%v", err)
-		return
+	if runErr != nil {
+		os.Remove(art.path)
+		return "", runErr
 	}
 	s.traceMu.Lock()
-	s.traces[id] = path
+	s.traces[art.id] = art.path
 	s.traceMu.Unlock()
-	s.metrics.countEngine(harness.EngineCycleAccurate, escalated, 0)
-	s.metrics.observeEpochs(res)
-	writeJSON(w, http.StatusOK, SimulateResponse{
-		Workload:  tgt.name,
-		Config:    label,
-		WallMS:    wall.Milliseconds(),
-		Version:   version.Stamp(),
-		Result:    res,
-		Trace:     "/v1/traces/" + id,
-		Engine:    harness.EngineCycleAccurate,
-		Escalated: escalated,
-	})
+	return "/v1/traces/" + art.id, nil
 }
 
 // handleTrace serves a trace artifact produced by a traced /v1/simulate.
@@ -572,35 +433,11 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	path, ok := s.traces[id]
 	s.traceMu.Unlock()
 	if !ok {
-		writeError(w, http.StatusNotFound, "no trace %q", id)
+		WriteError(w, http.StatusNotFound, "no trace %q", id)
 		return
 	}
 	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", id))
 	http.ServeFile(w, r, path)
-}
-
-// cachedBefore reports whether the result was already available (in-memory
-// memo or persistent store) before the request ran.
-func (s *Server) cachedBefore(t target, cfg config.Config, label string, named, loadStats bool, key string) bool {
-	switch {
-	case t.spec != nil && named:
-		if s.runner.MemoisedSpec(t.spec, label, loadStats) {
-			return true
-		}
-	case t.spec != nil:
-		if s.runner.MemoisedSpecConfig(t.spec, cfg, loadStats) {
-			return true
-		}
-	case named:
-		if s.runner.Memoised(t.name, label, loadStats) {
-			return true
-		}
-	default:
-		if s.runner.MemoisedConfig(t.name, cfg, loadStats) {
-			return true
-		}
-	}
-	return key != "" && s.runner.Store.Contains(key)
 }
 
 // SweepRequest is the POST /v1/sweep body: the full cross product of
@@ -679,8 +516,10 @@ func (c Cell) Name() string {
 // configuration, load-stats flag) minus version and scale, so hashing it
 // routes repeated sweeps of the same cell to the same node — onto warm
 // memo and store state — across coordinator restarts.
-func (c Cell) ID(loadStats bool) string {
-	return fmt.Sprintf("%s\x00%s\x00%t", c.Name(), c.Config, loadStats)
+func (c Cell) ID(loadStats bool) string { return cellID(c.Name(), c.Config, loadStats) }
+
+func cellID(workload, config string, loadStats bool) string {
+	return fmt.Sprintf("%s\x00%s\x00%t", workload, config, loadStats)
 }
 
 // Cells validates the request and expands its matrix in workload-major
@@ -749,15 +588,11 @@ func (req *SweepRequest) CellRequest(c Cell) SweepRequest {
 // coordinator uses it to route proxied /v1/simulate requests to the same
 // node the equivalent sweep cell lands on.
 func (req *SimulateRequest) CellID() (string, error) {
-	tgt, err := resolveTarget(req)
+	_, name, label, err := req.resolve()
 	if err != nil {
 		return "", err
 	}
-	_, label, _, err := resolveConfig(req)
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("%s\x00%s\x00%t", tgt.name, label, req.LoadStats), nil
+	return cellID(name, label, req.LoadStats), nil
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -765,22 +600,20 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SweepRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	ins, err := req.Cells()
+	var eng harness.EngineReq
+	if err == nil {
+		eng, err = s.resolveEngine(req.Engine, req.Tolerance)
+	}
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	eng, tol, err := s.resolveEngine(req.Engine, req.Tolerance)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if eng == harness.EngineTwin && req.LoadStats {
-		writeError(w, http.StatusBadRequest, "engine %q cannot collect load statistics (use %q or %q)",
+	if eng.Engine == harness.EngineTwin && req.LoadStats {
+		WriteError(w, http.StatusBadRequest, "engine %q cannot collect load statistics (use %q or %q)",
 			harness.EngineTwin, harness.EngineCycleAccurate, harness.EngineAuto)
 		return
 	}
@@ -793,66 +626,58 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, in Cell) {
 			defer wg.Done()
-			tgt := target{name: in.Name(), spec: in.Spec}
-			cfg, _ := harness.NamedConfig(in.Config)
-			key := s.storeKeyFor(tgt, cfg, req.LoadStats)
-			cell := SweepCell{
-				Workload: tgt.name,
-				Config:   in.Config,
-				Key:      key,
-				Cached:   s.cachedBefore(tgt, cfg, in.Config, true, req.LoadStats, key),
+			out, wall, err := s.run(ctx, harness.Request{
+				Workload:  in.Workload,
+				Spec:      in.Spec,
+				Config:    in.Config,
+				LoadStats: req.LoadStats,
+				EngineReq: eng,
+				RunOpts:   harness.RunOpts{SMJobs: req.SMJobs},
+			}, in.Config)
+			cells[i] = SweepCell{
+				Workload:   in.Name(),
+				Config:     in.Config,
+				Key:        out.Key,
+				Cached:     out.Cached,
+				Cycles:     out.Result.Cycles,
+				IPC:        out.Result.IPC(),
+				L1HitRate:  out.Result.Total.L1HitRate(),
+				WallMS:     wall.Milliseconds(),
+				Engine:     out.Engine,
+				Escalated:  out.Escalated,
+				ErrorBound: errorBound(out),
 			}
-			s.metrics.simStart()
-			t0 := time.Now()
-			out, err := s.runTarget(ctx, tgt, in.Config, cfg, true, req.LoadStats,
-				harness.EngineReq{Engine: eng, Tolerance: tol}, harness.RunOpts{SMJobs: req.SMJobs})
-			wall := time.Since(t0)
-			s.metrics.simEnd(in.Config, wall.Seconds())
-			cell.WallMS = wall.Milliseconds()
 			if err != nil {
-				cell.Error = err.Error()
-			} else {
-				s.metrics.countEngine(out.Engine, out.Escalated, out.Bound.IPCRel)
-				s.metrics.observeEpochs(out.Result)
-				cell.Cycles = out.Result.Cycles
-				cell.IPC = out.Result.IPC()
-				cell.L1HitRate = out.Result.Total.L1HitRate()
-				cell.Engine = out.Engine
-				cell.Escalated = out.Escalated
-				if out.Engine == harness.EngineTwin {
-					b := out.Bound
-					cell.ErrorBound = &b
-				}
+				cells[i].Error = err.Error()
 			}
-			cells[i] = cell
 		}(i, in)
 	}
 	wg.Wait()
 
 	// A whole-sweep timeout is a request failure, not a partial answer.
 	if err := ctx.Err(); err != nil {
-		writeError(w, runErrorStatus(err), "sweep aborted: %v", err)
+		WriteError(w, runErrorStatus(err), "sweep aborted: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, SweepResponse{Cells: cells})
+	WriteJSON(w, http.StatusOK, SweepResponse{Cells: cells})
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if !resultstore.ValidKey(key) {
-		writeError(w, http.StatusBadRequest, "malformed key %q: want 64 hex characters", key)
+		WriteError(w, http.StatusBadRequest, "malformed key %q: want 64 hex characters", key)
 		return
 	}
 	if s.runner.Store == nil {
-		writeError(w, http.StatusServiceUnavailable, "daemon runs without a result store")
+		WriteError(w, http.StatusServiceUnavailable, "daemon runs without a result store")
 		return
 	}
 	e, ok := s.runner.Store.Get(key)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no result under %s", key)
+		WriteError(w, http.StatusNotFound, "no result under %s", key)
 		return
 	}
-	writeJSON(w, http.StatusOK, e)
+	WriteJSON(w, http.StatusOK, e)
 }
 
 // HealthPool reports the worker pool's instantaneous capacity and backlog.
@@ -891,7 +716,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Version:       version.Stamp(),
 		UptimeSeconds: int64(time.Since(s.started).Seconds()),
 		Pool:          HealthPool{Capacity: capacity, Busy: busy, QueueDepth: waiting},
-		ShedWatermark: s.shedmark,
+		ShedWatermark: s.opts.ShedWatermark,
 	}
 	if s.runner.Store != nil {
 		h.Store.Attached = true
@@ -901,12 +726,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	code := http.StatusOK
-	if s.draining.Load() {
+	if s.Draining() {
 		h.Status = "draining"
 		h.Draining = true
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, h)
+	WriteJSON(w, code, h)
 }
 
 // handleTwinSpeedups serves twin.Model.Speedups: the per-scheduler-variant
@@ -916,7 +741,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTwinSpeedups(w http.ResponseWriter, r *http.Request) {
 	app := r.URL.Query().Get("workload")
 	if app == "" {
-		writeError(w, http.StatusBadRequest, "missing workload query parameter")
+		WriteError(w, http.StatusBadRequest, "missing workload query parameter")
 		return
 	}
 	cfgName := r.URL.Query().Get("config")
@@ -925,10 +750,10 @@ func (s *Server) handleTwinSpeedups(w http.ResponseWriter, r *http.Request) {
 	}
 	sp, err := s.runner.TwinSpeedups(app, cfgName)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"workload": app,
 		"config":   cfgName,
 		"engine":   harness.EngineTwin,
@@ -945,7 +770,7 @@ func (s *Server) handleTwinSpeedups(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTwinDRAM(w http.ResponseWriter, r *http.Request) {
 	app := r.URL.Query().Get("workload")
 	if app == "" {
-		writeError(w, http.StatusBadRequest, "missing workload query parameter")
+		WriteError(w, http.StatusBadRequest, "missing workload query parameter")
 		return
 	}
 	cfgName := r.URL.Query().Get("config")
@@ -960,17 +785,17 @@ func (s *Server) handleTwinDRAM(w http.ResponseWriter, r *http.Request) {
 	for _, part := range strings.Split(spec, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || v <= 0 {
-			writeError(w, http.StatusBadRequest, "bad interval %q: want positive integers", part)
+			WriteError(w, http.StatusBadRequest, "bad interval %q: want positive integers", part)
 			return
 		}
 		intervals = append(intervals, v)
 	}
 	points, err := s.runner.TwinDRAMBandwidth(app, cfgName, intervals)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"workload": app,
 		"config":   cfgName,
 		"engine":   harness.EngineTwin,
@@ -980,35 +805,31 @@ func (s *Server) handleTwinDRAM(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var b strings.Builder
-	s.metrics.render(&b, version.Stamp())
+	var e Exposition
+	e.Family("apresd_build_info", "gauge", "Constant 1, labelled with the simulator version stamp.")
+	e.Sample(1, "version", version.Stamp())
+	s.WriteRequests(&e, "apresd_requests_total")
+	s.metrics.render(&e)
 
 	rs := s.runner.Stats()
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("apresd_runner_simulations_total", "Simulations actually executed.", rs.Simulations)
-	counter("apresd_runner_cache_hits_total", "Runs answered from the in-memory memo.", rs.CacheHits)
-	counter("apresd_runner_dedup_waits_total", "Runs that joined an identical in-flight simulation.", rs.DedupWaits)
-	counter("apresd_runner_store_hits_total", "Runs answered from the persistent result store.", rs.StoreHits)
-	counter("apresd_runner_store_errors_total", "Failed persistent-store writes.", rs.StoreErrors)
-	counter("apresd_runner_twin_served_total", "Engine-selected runs answered by the analytical twin.", rs.TwinServed)
-	counter("apresd_runner_twin_escalations_total", "Auto-engine runs escalated to the cycle-accurate simulator.", rs.TwinEscalations)
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
+	e.Counter("apresd_runner_simulations_total", "Simulations actually executed.", rs.Simulations)
+	e.Counter("apresd_runner_cache_hits_total", "Runs answered from the in-memory memo.", rs.CacheHits)
+	e.Counter("apresd_runner_dedup_waits_total", "Runs that joined an identical in-flight simulation.", rs.DedupWaits)
+	e.Counter("apresd_runner_store_hits_total", "Runs answered from the persistent result store.", rs.StoreHits)
+	e.Counter("apresd_runner_store_errors_total", "Failed persistent-store writes.", rs.StoreErrors)
+	e.Counter("apresd_runner_twin_served_total", "Engine-selected runs answered by the analytical twin.", rs.TwinServed)
+	e.Counter("apresd_runner_twin_escalations_total", "Auto-engine runs escalated to the cycle-accurate simulator.", rs.TwinEscalations)
 	capacity, busy, waiting := s.runner.PoolGauges()
-	gauge("apresd_pool_capacity", "Worker-pool simulation slots.", int64(capacity))
-	gauge("apresd_pool_busy", "Slots currently held by running simulations.", int64(busy))
-	gauge("apresd_pool_queue_depth", "Callers queued for a free simulation slot.", int64(waiting))
+	e.Gauge("apresd_pool_capacity", "Worker-pool simulation slots.", int64(capacity))
+	e.Gauge("apresd_pool_busy", "Slots currently held by running simulations.", int64(busy))
+	e.Gauge("apresd_pool_queue_depth", "Callers queued for a free simulation slot.", int64(waiting))
 	if s.runner.Store != nil {
 		ss := s.runner.Store.Stats()
-		counter("apresd_store_memory_hits_total", "Store lookups answered from the LRU front.", ss.MemHits)
-		counter("apresd_store_disk_hits_total", "Store lookups answered from disk.", ss.DiskHits)
-		counter("apresd_store_misses_total", "Store lookups that found nothing.", ss.Misses)
-		counter("apresd_store_puts_total", "Entries written to the store.", ss.Puts)
-		counter("apresd_store_corrupt_total", "Unreadable on-disk entries treated as misses.", ss.Corrupt)
+		e.Counter("apresd_store_memory_hits_total", "Store lookups answered from the LRU front.", ss.MemHits)
+		e.Counter("apresd_store_disk_hits_total", "Store lookups answered from disk.", ss.DiskHits)
+		e.Counter("apresd_store_misses_total", "Store lookups that found nothing.", ss.Misses)
+		e.Counter("apresd_store_puts_total", "Entries written to the store.", ss.Puts)
+		e.Counter("apresd_store_corrupt_total", "Unreadable on-disk entries treated as misses.", ss.Corrupt)
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write([]byte(b.String()))
+	e.WriteTo(w)
 }

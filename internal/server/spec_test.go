@@ -16,6 +16,8 @@ import (
 
 	"apres/internal/config"
 	"apres/internal/harness"
+	"apres/internal/resultstore"
+	"apres/internal/version"
 	"apres/internal/workloads"
 	"apres/internal/workspec"
 )
@@ -56,7 +58,12 @@ func TestSimulateInlineSpecStoredAndServedOnRepeat(t *testing.T) {
 	if first.Key == "" {
 		t.Fatal("spec run got no store key")
 	}
-	wantKey := r.SpecStoreKey(spec, mustBase(t), false)
+	// The canonical spec key, spelt out: the spec's content identity, the
+	// Runner's scale, the effective configuration, and the model version
+	// with the workspec version folded in.
+	eff := mustBase(t)
+	eff.NumSMs = r.SMs
+	wantKey := resultstore.Key(harness.SpecID(spec), r.Scale, false, eff, version.Stamp()+"+"+workspec.VersionTag())
 	if first.Key != wantKey {
 		t.Errorf("key %s, want canonical spec key %s", first.Key, wantKey)
 	}

@@ -138,16 +138,17 @@ func TestSpecSimEquivalenceMatrix(t *testing.T) {
 			for _, sj := range smJobs {
 				r := runners[sj]
 				name := fmt.Sprintf("%s/%s/smjobs=%d", w.Name(), cfgName, sj)
-				fromSpec, err := r.RunSpecConfig(context.Background(), spec, cfg, false, harness.RunOpts{SMJobs: sj})
+				o := harness.RunOpts{SMJobs: sj}
+				fromSpec, err := r.Do(context.Background(), harness.Request{Spec: spec, Inline: cfg, RunOpts: o})
 				if err != nil {
 					t.Fatalf("%s: spec run: %v", name, err)
 				}
-				named, err := r.RunConfigOpts(context.Background(), w.Name(), cfg, false, harness.RunOpts{SMJobs: sj})
+				named, err := r.Do(context.Background(), harness.Request{Workload: w.Name(), Inline: cfg, RunOpts: o})
 				if err != nil {
 					t.Fatalf("%s: named run: %v", name, err)
 				}
-				if fromSpec.Cycles != named.Cycles || fromSpec.Total != named.Total {
-					t.Errorf("%s: spec-built run diverged: %d cycles vs %d", name, fromSpec.Cycles, named.Cycles)
+				if fromSpec.Result.Cycles != named.Result.Cycles || fromSpec.Result.Total != named.Result.Total {
+					t.Errorf("%s: spec-built run diverged: %d cycles vs %d", name, fromSpec.Result.Cycles, named.Result.Cycles)
 				}
 			}
 		}
