@@ -129,7 +129,7 @@ type Cache struct {
 
 	// everSeen supports cold vs capacity+conflict classification (L1 only,
 	// see lowerLevel); it only ever grows.
-	everSeen LineTable[struct{}]
+	everSeen LineSet
 	// evictedUnusedPF holds prefetched lines evicted before use; a later
 	// demand for such a line proves the prefetch correct (early
 	// eviction), otherwise the prefetch was useless (L1 only).
@@ -275,7 +275,8 @@ func (c *Cache) Access(req arch.MemReq, cycle int64) Outcome {
 				out.MergedIntoPrefetch = true
 			}
 			if !c.lowerLevel {
-				out.Class = missClass(c.everSeen.Has(req.Line))
+				// The miss that allocated e put the line in everSeen.
+				out.Class = arch.MissCapacityConflict
 			}
 			c.noteDemand(false)
 			if c.tr != nil {
@@ -308,7 +309,7 @@ func (c *Cache) Access(req arch.MemReq, cycle int64) Outcome {
 		c.noteDemand(false)
 	}
 	if !c.lowerLevel {
-		seen := c.everSeen.Put(req.Line, struct{}{})
+		seen := c.everSeen.Add(req.Line)
 		if isDemand {
 			out.Class = missClass(seen)
 			// The set is empty unless a prefetcher is running and losing

@@ -8,7 +8,7 @@ import (
 
 // LineTable is an open-addressed hash table keyed by cache-line address: the
 // simulator's replacement for map[arch.LineAddr]V on the per-access path
-// (MSHR index, miss-classification and early-eviction sets, the SM's queued
+// (MSHR index, early-eviction set, LineSet's page directory, the SM's queued
 // prefetch set, the memory system's in-flight fill index). Lookups are one
 // multiplicative hash and a short linear probe over a flat slot array — no
 // runtime map calls, no per-entry allocation. The zero value is an empty
@@ -163,4 +163,60 @@ func (t *LineTable[V]) Each(f func(arch.LineAddr, V)) {
 func (t *LineTable[V]) Clear() {
 	clear(t.slots)
 	t.n = 0
+}
+
+// linePageBits sizes a LineSet page: 2^10 consecutive lines — 128 KiB of
+// address space at 128-byte lines — in a 128-byte bitmap. Small pages keep a
+// short run cheap when its warps sit megabytes apart (NW's inter-warp stride
+// gives every warp a page of its own; 4 KiB pages made a scale-0.05 NW cell
+// twice as slow as the hash table, in page zeroing), and a kernel's arrays
+// are still only tens to hundreds of pages.
+const linePageBits = 10
+
+type linePage [1 << linePageBits / 64]uint64
+
+// LineSet is a grow-only set of line addresses: one bit per line in bitmap
+// pages found through a LineTable keyed by page number. Where a
+// LineTable[struct{}] that only grows probes an ever larger, cache-missing
+// slot array on every miss, this touches one word of a page the neighbouring
+// lines share, found in a directory small enough to stay in the host's cache;
+// last remembers the page of the previous Add, which nearby lines hit
+// without a directory lookup. The zero value is an empty set.
+type LineSet struct {
+	pages   LineTable[*linePage]
+	spare   []linePage // allocated, not yet in pages
+	n       int
+	lastKey arch.LineAddr
+	last    *linePage
+}
+
+// Add inserts l and reports whether it was already present.
+func (s *LineSet) Add(l arch.LineAddr) (existed bool) {
+	if k := l >> linePageBits; s.last == nil || s.lastKey != k {
+		p, ok := s.pages.Get(k)
+		if !ok {
+			if len(s.spare) == 0 {
+				s.spare = make([]linePage, 16) // one allocation per 2 KiB
+			}
+			p, s.spare = &s.spare[0], s.spare[1:]
+			s.pages.Put(k, p)
+		}
+		s.lastKey, s.last = k, p
+	}
+	word, bit := &s.last[l>>6%arch.LineAddr(len(s.last))], uint64(1)<<(l&63)
+	existed = *word&bit != 0
+	if !existed {
+		*word |= bit
+		s.n++
+	}
+	return existed
+}
+
+// Len returns the number of lines in the set.
+func (s *LineSet) Len() int { return s.n }
+
+// Clear empties the set in place, keeping its pages for the next fill.
+func (s *LineSet) Clear() {
+	s.pages.Each(func(_ arch.LineAddr, p *linePage) { *p = linePage{} })
+	s.n = 0
 }

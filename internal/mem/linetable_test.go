@@ -234,3 +234,79 @@ func TestLineTableGrowthAndClear(t *testing.T) {
 		t.Fatalf("refilling a cleared table allocated %v times", n)
 	}
 }
+
+// runSetOps drives a LineSet and the LineTable[struct{}] it replaced as the
+// L1's miss-classification set through the same adds and clears: Add must
+// answer what Put answered, and Len must agree after every step. Keys are
+// dense runs, page-crossing strides and the extremes of the address space.
+func runSetOps(t *testing.T, data []byte) {
+	var set LineSet
+	var ref LineTable[struct{}]
+	for i := 0; i+1 < len(data); i += 2 {
+		k := arch.LineAddr(data[i+1])
+		switch data[i] % 8 {
+		case 0:
+			k <<= linePageBits - 3 // eight keys to a page, 32 pages
+		case 1:
+			k = ^arch.LineAddr(0) - k
+		case 2:
+			k *= 1 << 40
+		case 3:
+			if data[i+1] == 0 {
+				set.Clear()
+				ref.Clear()
+				continue
+			}
+		}
+		if got, want := set.Add(k), ref.Put(k, struct{}{}); got != want {
+			t.Fatalf("op %d: Add(%#x) existed=%v, table says %v", i/2, k, got, want)
+		}
+		if set.Len() != ref.Len() {
+			t.Fatalf("op %d: Len = %d, table has %d", i/2, set.Len(), ref.Len())
+		}
+	}
+	// Every key the table holds is in the set, and nothing else is.
+	n := set.Len()
+	ref.Each(func(k arch.LineAddr, _ struct{}) {
+		if !set.Add(k) {
+			t.Fatalf("%#x is in the table but was not in the set", k)
+		}
+	})
+	if set.Len() != n {
+		t.Fatalf("re-adding the table's keys grew the set from %d to %d", n, set.Len())
+	}
+}
+
+func FuzzLineSet(f *testing.F) {
+	f.Add([]byte{4, 1, 4, 2, 4, 1, 0, 1, 0, 2, 0, 1})
+	f.Add([]byte{1, 0, 1, 0, 2, 255, 2, 255, 3, 0, 1, 0})
+	f.Add([]byte{0, 255, 0, 254, 3, 0, 0, 255})
+	f.Fuzz(runSetOps)
+}
+
+// TestLineSetQuickCheck is FuzzLineSet's fixed-seed sibling, plus the reset
+// contract: a cleared set refills without allocating.
+func TestLineSetQuickCheck(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for round := 0; round < 200; round++ {
+		data := make([]byte, 2+rng.Intn(4000))
+		rng.Read(data)
+		runSetOps(t, data)
+	}
+	var set LineSet
+	fill := func() {
+		for k := arch.LineAddr(0); k < 3000; k++ {
+			set.Add(k * 34) // KM's 4352-byte stride, in lines
+		}
+	}
+	fill()
+	if set.Len() != 3000 {
+		t.Fatalf("Len = %d after 3000 distinct adds", set.Len())
+	}
+	if n := testing.AllocsPerRun(1, func() {
+		set.Clear()
+		fill()
+	}); n != 0 {
+		t.Fatalf("refilling a cleared set allocated %v times", n)
+	}
+}

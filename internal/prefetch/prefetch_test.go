@@ -1,6 +1,7 @@
 package prefetch
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"sort"
@@ -282,7 +283,7 @@ func TestQuickSAPAddressArithmetic(t *testing.T) {
 }
 
 // TestSAPNearestTargetsMatchSortSlice holds OnGroupMiss's closest-warps
-// selection (a reused buffer sorted with slices.SortFunc) to the definition
+// selection (a bounded insertion sort into a fixed array) to the definition
 // it replaced: a fresh copy of the group ordered by sort.Slice on (distance
 // to the missing warp, logical ID), cut to maxTargetsPerEvent. The second
 // call of each pair must not allocate.
@@ -340,6 +341,46 @@ func TestSAPNearestTargetsMatchSortSlice(t *testing.T) {
 		}
 	}); a != 0 {
 		t.Fatalf("steady-state OnGroupMiss allocated %v times per call", a)
+	}
+}
+
+// TestSAPNearestTargetsMatchFullSort holds nearestTargets to the code it
+// replaced — slices.SortFunc over the whole group by (distance, logical ID),
+// cut to maxTargetsPerEvent — for groups of 1 to 64 distinct logical warp IDs
+// with the missing warp below, inside, above and absent from them.
+func TestSAPNearestTargetsMatchFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	p := NewSAP(10, 32, true)
+	for size := 1; size <= 64; size++ {
+		for round := 0; round < 50; round++ {
+			group := make([]Target, size)
+			for i, w := range rng.Perm(300)[:size] {
+				group[i] = Target{Slot: arch.WarpID(i), Wid: arch.WarpID(100 + w)}
+			}
+			var miss arch.WarpID
+			switch round % 4 {
+			case 0:
+				miss = arch.WarpID(rng.Intn(100)) // below every member
+			case 1:
+				miss = arch.WarpID(400 + rng.Intn(100)) // above every member
+			case 2:
+				miss = group[rng.Intn(size)].Wid
+			default:
+				miss = arch.WarpID(100 + rng.Intn(300)) // in range, member or not
+			}
+			want := slices.Clone(group)
+			slices.SortFunc(want, func(a, b Target) int {
+				da, db := abs64(int64(a.Wid)-int64(miss)), abs64(int64(b.Wid)-int64(miss))
+				if da != db {
+					return cmp.Compare(da, db)
+				}
+				return cmp.Compare(a.Wid, b.Wid)
+			})
+			want = want[:min(size, maxTargetsPerEvent)]
+			if got := p.nearestTargets(group, miss); !slices.Equal(got, want) {
+				t.Fatalf("size %d miss %d: nearest %v, full sort %v", size, miss, got, want)
+			}
+		}
 	}
 }
 

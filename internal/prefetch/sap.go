@@ -15,9 +15,6 @@
 package prefetch
 
 import (
-	"cmp"
-	"slices"
-
 	"apres/internal/arch"
 	"apres/internal/trace"
 )
@@ -63,9 +60,9 @@ type SAP struct {
 	drqPending int
 	drqCycle   int64
 
-	// nearest and reqs are OnGroupMiss's scratch: the group sorted by
-	// distance, and the returned requests. Both are reused across calls.
-	nearest []Target
+	// nearest and reqs are OnGroupMiss's scratch: the group's nearest
+	// targets, and the returned requests. Both are reused across calls.
+	nearest [maxTargetsPerEvent]Target
 	reqs    []Request
 
 	tr     *trace.Tracer
@@ -158,18 +155,7 @@ func (p *SAP) OnGroupMiss(pc arch.PC, missWarp arch.WarpID, missAddr arch.Addr, 
 		return nil
 	}
 	if len(group) > maxTargetsPerEvent {
-		// Logical warp IDs are distinct, so (distance, ID) is a total order
-		// and the result does not depend on the sort algorithm.
-		p.nearest = append(p.nearest[:0], group...)
-		slices.SortFunc(p.nearest, func(a, b Target) int {
-			da := abs64(int64(a.Wid) - int64(missWarp))
-			db := abs64(int64(b.Wid) - int64(missWarp))
-			if da != db {
-				return cmp.Compare(da, db)
-			}
-			return cmp.Compare(a.Wid, b.Wid)
-		})
-		group = p.nearest[:maxTargetsPerEvent]
+		group = p.nearestTargets(group, missWarp)
 	}
 	reqs := p.reqs[:0]
 	for _, t := range group {
@@ -189,6 +175,33 @@ func (p *SAP) OnGroupMiss(pc arch.PC, missWarp arch.WarpID, missAddr arch.Addr, 
 			Line: uint64(len(reqs))})
 	}
 	return reqs
+}
+
+// nearestTargets returns the maxTargetsPerEvent members of group closest to
+// missWarp in logical ID, nearest first and the lower ID first at equal
+// distance. Logical warp IDs are distinct, so (distance, ID) is a total
+// order, packed here into one integer key. Each member is insertion-sorted
+// into the kept prefix; most are farther than its last entry and cost one
+// comparison.
+func (p *SAP) nearestTargets(group []Target, missWarp arch.WarpID) []Target {
+	var keys [maxTargetsPerEvent]int64
+	n := 0
+	for _, t := range group {
+		key := abs64(int64(t.Wid)-int64(missWarp))<<32 | int64(t.Wid)
+		i := n
+		if n == len(keys) {
+			if i--; key > keys[i] {
+				continue
+			}
+		} else {
+			n++
+		}
+		for ; i > 0 && keys[i-1] > key; i-- {
+			keys[i], p.nearest[i] = keys[i-1], p.nearest[i-1]
+		}
+		keys[i], p.nearest[i] = key, t
+	}
+	return p.nearest[:n]
 }
 
 func (p *SAP) lookup(pc arch.PC) *ptEntry {

@@ -56,13 +56,28 @@ type CCWS struct {
 	vtas      []vta
 	lastDecay int64
 	decayAcc  int64
+	// sum is Σscores and above the warps scoring over baseScore, kept by
+	// setScore and decay so both and eligible know when there is nothing
+	// to do.
+	sum   int
+	above arch.WarpMask
+	// order holds every warp, sorted by eligible into (score descending,
+	// warp ascending) order. That is a total order, so the result does not
+	// depend on the order left by the previous call — which is nearly
+	// sorted already and makes the insertion sort close to linear.
+	order []arch.WarpID
 	// fallback issues among eligible warps greedily-then-oldest.
 	current arch.WarpID
 	hasCur  bool
 
-	// eligCache avoids recomputing the eligibility cutoff every cycle;
-	// it is refreshed on score changes and every eligRefresh cycles
-	// (scores only drift slowly through decay).
+	// eligCache holds the eligibility mask between recomputations: every
+	// eligRefresh cycles (decay moves scores, but slowly) and after a score
+	// change that can move the cutoff. A VTA hit, a finish or a relaunch can
+	// only do that when Σscores exceeds the budget before or after it, or
+	// when the cached mask is a throttled one gone stale through decay;
+	// while the mask is "everyone" and Σscores stays within the budget it
+	// is already the answer, whatever its age. Decay never invalidates: a
+	// throttled mask outlives the scores that produced it until the refresh.
 	eligCache arch.WarpMask
 	eligValid bool
 	eligCycle int64
@@ -90,10 +105,13 @@ func NewCCWS(numWarps, vtaEntries, baseScore, decayRate int, view View) *CCWS {
 		decayRate: decayRate,
 		scores:    make([]int, numWarps),
 		vtas:      make([]vta, numWarps),
+		sum:       numWarps * baseScore,
+		order:     make([]arch.WarpID, numWarps),
 	}
 	tags := make([]arch.LineAddr, numWarps*vtaEntries)
 	for i := range s.scores {
 		s.scores[i] = baseScore
+		s.order[i] = arch.WarpID(i)
 		s.vtas[i].entries = tags[i*vtaEntries : i*vtaEntries : (i+1)*vtaEntries]
 	}
 	return s
@@ -106,37 +124,57 @@ func (s *CCWS) Name() string { return "ccws" }
 // locality so the SM is never reduced to a single warp's issue rate.
 const minEligible = 6
 
-// eligible returns the warps allowed to issue: warps are sorted by score
-// descending and admitted while the cumulative score stays within the
-// baseline budget (numWarps x baseScore). With no lost locality all warps
-// are admitted; concentrated lost locality squeezes low-score warps out.
+// eligible returns the warps allowed to issue: warps are taken by score
+// descending, lowest warp first among equals, and admitted while the
+// cumulative score stays within the baseline budget (numWarps x baseScore);
+// the first warp that does not fit ends the admission, once minEligible are
+// in. With no lost locality all warps are admitted; concentrated lost
+// locality squeezes low-score warps out.
 func (s *CCWS) eligible() arch.WarpMask {
 	budget := s.numWarps * s.baseScore
-	// Selection sort over at most 64 warps; cheap and allocation-free.
-	var taken arch.WarpMask
+	if s.sum <= budget {
+		// Every prefix of any order sums to at most Σscores, so no warp
+		// can fail to fit.
+		return arch.FirstWarps(s.numWarps)
+	}
+	for i := 1; i < len(s.order); i++ {
+		w := s.order[i]
+		j := i
+		for ; j > 0; j-- {
+			p := s.order[j-1]
+			if s.scores[p] > s.scores[w] || s.scores[p] == s.scores[w] && p < w {
+				break
+			}
+			s.order[j] = p
+		}
+		s.order[j] = w
+	}
 	var mask arch.WarpMask
-	cum := 0
-	for {
-		best, bestScore := arch.WarpID(-1), -1
-		for w := 0; w < s.numWarps; w++ {
-			if taken.Has(arch.WarpID(w)) {
-				continue
-			}
-			if s.scores[w] > bestScore {
-				best, bestScore = arch.WarpID(w), s.scores[w]
-			}
-		}
-		if best < 0 {
+	cum, floor := 0, min(minEligible, s.numWarps)
+	for n, w := range s.order {
+		if cum+s.scores[w] > budget && n >= floor {
 			break
 		}
-		taken = taken.Set(best)
-		if cum+bestScore > budget && mask.Count() >= min(minEligible, s.numWarps) {
-			break
-		}
-		cum += bestScore
-		mask = mask.Set(best)
+		cum += s.scores[w]
+		mask = mask.Set(w)
 	}
 	return mask
+}
+
+// setScore is the one place a score changes outside decay. It keeps sum and
+// above, and drops the cached mask unless that mask is provably still right
+// (see eligCache).
+func (s *CCWS) setScore(w arch.WarpID, score int) {
+	s.sum += score - s.scores[w]
+	s.scores[w] = score
+	if score > s.baseScore {
+		s.above = s.above.Set(w)
+	} else {
+		s.above = s.above.Clear(w)
+	}
+	if s.sum > s.numWarps*s.baseScore || s.eligCache != arch.FirstWarps(s.numWarps) {
+		s.eligValid = false
+	}
 }
 
 // eligRefresh is the eligibility cache lifetime in cycles.
@@ -151,31 +189,28 @@ func (s *CCWS) cachedEligible(cycle int64) arch.WarpMask {
 	return s.eligCache
 }
 
-// Pick implements Scheduler. Throttling blocks only memory instructions:
-// an ineligible warp may still issue compute (Rogers et al.: the cutoff
-// "prevents warps with the smallest scores from issuing loads").
+// Pick implements Scheduler: the current warp while it may issue, else the
+// lowest-numbered ready warp that may. Throttling blocks only memory
+// instructions: an ineligible warp may still issue compute (Rogers et al.:
+// the cutoff "prevents warps with the smallest scores from issuing loads").
+// The view is asked about a throttled warp only when the answer decides the
+// pick.
 func (s *CCWS) Pick(ready arch.WarpMask, cycle int64) (arch.WarpID, bool) {
 	s.decay(cycle)
-	cand := ready & s.cachedEligible(cycle)
-	if s.view != nil {
-		for m := ready &^ cand; m != 0; m &= m - 1 {
-			if w := m.Lowest(); !s.view.NextIsMem(w) {
-				cand = cand.Set(w)
-			}
-		}
+	eligible := s.cachedEligible(cycle)
+	mayIssue := func(w arch.WarpID) bool {
+		return eligible.Has(w) || s.view != nil && !s.view.NextIsMem(w)
 	}
-	if cand == 0 {
-		return 0, false
-	}
-	if s.hasCur && cand.Has(s.current) {
+	if s.hasCur && ready.Has(s.current) && mayIssue(s.current) {
 		return s.current, true
 	}
-	cand &= arch.FirstWarps(s.numWarps)
-	if cand == 0 {
-		return 0, false
+	for m := ready & arch.FirstWarps(s.numWarps); m != 0; m &= m - 1 {
+		if w := m.Lowest(); mayIssue(w) {
+			s.current, s.hasCur = w, true
+			return w, true
+		}
 	}
-	s.current, s.hasCur = cand.Lowest(), true
-	return s.current, true
+	return 0, false
 }
 
 func (s *CCWS) decay(cycle int64) {
@@ -184,17 +219,18 @@ func (s *CCWS) decay(cycle int64) {
 	}
 	s.decayAcc += cycle - s.lastDecay
 	s.lastDecay = cycle
-	points := int(s.decayAcc / int64(s.decayRate))
-	if points == 0 {
+	if s.decayAcc < int64(s.decayRate) {
 		return
 	}
+	points := int(s.decayAcc / int64(s.decayRate))
 	s.decayAcc %= int64(s.decayRate)
-	for w := range s.scores {
-		if s.scores[w] > s.baseScore {
-			s.scores[w] -= points
-			if s.scores[w] < s.baseScore {
-				s.scores[w] = s.baseScore
-			}
+	for m := s.above; m != 0; m &= m - 1 {
+		w := m.Lowest()
+		score := max(s.scores[w]-points, s.baseScore)
+		s.sum += score - s.scores[w]
+		s.scores[w] = score
+		if score == s.baseScore {
+			s.above = s.above.Clear(w)
 		}
 	}
 }
@@ -206,13 +242,9 @@ func (s *CCWS) OnCacheResult(w arch.WarpID, _ arch.PC, line arch.LineAddr, hit b
 		return 0
 	}
 	if s.vtas[w].hitAndRemove(line) {
-		s.scores[w] += s.baseScore
 		// Cap stickiness so one warp cannot monopolise the budget for
 		// tens of thousands of cycles.
-		if max := 8 * s.baseScore; s.scores[w] > max {
-			s.scores[w] = max
-		}
-		s.eligValid = false
+		s.setScore(w, min(s.scores[w]+s.baseScore, 8*s.baseScore))
 	}
 	return 0
 }
@@ -231,8 +263,7 @@ func (s *CCWS) OnWarpFinished(w arch.WarpID) {
 		s.hasCur = false
 	}
 	if int(w) < s.numWarps {
-		s.scores[w] = 0 // finished warps should not hold budget
-		s.eligValid = false
+		s.setScore(w, 0) // finished warps should not hold budget
 	}
 }
 
@@ -240,9 +271,8 @@ func (s *CCWS) OnWarpFinished(w arch.WarpID) {
 // finished warp.
 func (s *CCWS) OnWarpRelaunched(w arch.WarpID) {
 	if int(w) < s.numWarps {
-		s.scores[w] = s.baseScore
+		s.setScore(w, s.baseScore)
 		s.vtas[w].entries = s.vtas[w].entries[:0]
-		s.eligValid = false
 	}
 }
 

@@ -12,37 +12,46 @@ import "apres/internal/arch"
 // groupScheduler is the shared machinery of TwoLevel and PA.
 type groupScheduler struct {
 	Base
-	name      string
-	numWarps  int
-	numGroups int
-	// groupOf maps a warp to its group.
-	groupOf func(arch.WarpID) int
-	active  int
+	name     string
+	numWarps int
+	// groups holds each group's member warps.
+	groups []arch.WarpMask
+	active int
 	// rr is a per-group round-robin pointer.
 	rr []arch.WarpID
+}
+
+// newGroupScheduler builds the scheduler whose groupOf maps a warp to its
+// group.
+func newGroupScheduler(name string, numWarps, numGroups int, groupOf func(w int) int) groupScheduler {
+	s := groupScheduler{
+		name:     name,
+		numWarps: numWarps,
+		groups:   make([]arch.WarpMask, numGroups),
+		rr:       make([]arch.WarpID, numGroups),
+	}
+	for w := 0; w < numWarps; w++ {
+		g := groupOf(w)
+		s.groups[g] = s.groups[g].Set(arch.WarpID(w))
+	}
+	return s
 }
 
 // Name implements Scheduler.
 func (s *groupScheduler) Name() string { return s.name }
 
-// Pick implements Scheduler.
+// Pick implements Scheduler: the active group if it has a ready warp, else
+// the next group round-robin that has one; within the group, round-robin
+// from the group's pointer.
 func (s *groupScheduler) Pick(ready arch.WarpMask, _ int64) (arch.WarpID, bool) {
-	for gi := 0; gi < s.numGroups; gi++ {
-		g := (s.active + gi) % s.numGroups
-		if w, ok := s.pickInGroup(g, ready); ok {
+	g := s.active
+	for range s.groups {
+		if m := ready & s.groups[g]; m != 0 {
 			s.active = g
-			return w, true
+			return pickRotating(m, &s.rr[g], s.numWarps), true
 		}
-	}
-	return 0, false
-}
-
-func (s *groupScheduler) pickInGroup(g int, ready arch.WarpMask) (arch.WarpID, bool) {
-	for i := 0; i < s.numWarps; i++ {
-		w := (s.rr[g] + arch.WarpID(i)) % arch.WarpID(s.numWarps)
-		if s.groupOf(w) == g && ready.Has(w) {
-			s.rr[g] = (w + 1) % arch.WarpID(s.numWarps)
-			return w, true
+		if g++; g == len(s.groups) {
+			g = 0
 		}
 	}
 	return 0, false
@@ -58,14 +67,8 @@ func NewTwoLevel(numWarps, groupSize int) *TwoLevel {
 		groupSize = 8
 	}
 	numGroups := (numWarps + groupSize - 1) / groupSize
-	s := &TwoLevel{groupScheduler{
-		name:      "twolevel",
-		numWarps:  numWarps,
-		numGroups: numGroups,
-		rr:        make([]arch.WarpID, numGroups),
-	}}
-	s.groupOf = func(w arch.WarpID) int { return int(w) / groupSize }
-	return s
+	return &TwoLevel{newGroupScheduler("twolevel", numWarps, numGroups,
+		func(w int) int { return w / groupSize })}
 }
 
 // PA is the prefetch-aware group scheduler: warps are assigned to groups by
@@ -81,12 +84,6 @@ func NewPA(numWarps, numGroups int) *PA {
 	if numGroups > numWarps {
 		numGroups = numWarps
 	}
-	s := &PA{groupScheduler{
-		name:      "pa",
-		numWarps:  numWarps,
-		numGroups: numGroups,
-		rr:        make([]arch.WarpID, numGroups),
-	}}
-	s.groupOf = func(w arch.WarpID) int { return int(w) % numGroups }
-	return s
+	return &PA{newGroupScheduler("pa", numWarps, numGroups,
+		func(w int) int { return w % numGroups })}
 }

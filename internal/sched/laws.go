@@ -25,6 +25,11 @@ import (
 // mechanism up at kernel start.
 const noLLPC arch.PC = 0
 
+type llpcSet struct {
+	pc   arch.PC
+	mask arch.WarpMask
+}
+
 type wgtEntry struct {
 	id    int
 	mask  arch.WarpMask
@@ -39,9 +44,12 @@ type LAWS struct {
 
 	queue []arch.WarpID // priority order, head first
 	llt   []arch.PC
-	wgt   []wgtEntry
-	wgtRR int // ring allocation pointer
-	nexID int
+	// sameLLPC holds, per distinct LLT value, the warps whose entry has it;
+	// the sets partition the warps and empty ones are dropped.
+	sameLLPC []llpcSet
+	wgt      []wgtEntry
+	wgtRR    int // ring allocation pointer
+	nexID    int
 
 	tr     *trace.Tracer
 	trUnit int32
@@ -64,6 +72,7 @@ func NewLAWS(numWarps, wgtEntries int, tailDemotion bool) *LAWS {
 		tailDemotion: tailDemotion,
 		queue:        make([]arch.WarpID, numWarps),
 		llt:          make([]arch.PC, numWarps),
+		sameLLPC:     []llpcSet{{noLLPC, arch.FirstWarps(numWarps)}},
 		wgt:          make([]wgtEntry, wgtEntries),
 	}
 	for i := range s.queue {
@@ -85,20 +94,43 @@ func (s *LAWS) Pick(ready arch.WarpMask, _ int64) (arch.WarpID, bool) {
 	return 0, false
 }
 
+// setLLPC moves warp w's LLT entry, and its sameLLPC membership, to pc.
+func (s *LAWS) setLLPC(w arch.WarpID, pc arch.PC) {
+	if s.llt[w] == pc {
+		return
+	}
+	s.llpcSet(s.llt[w]).mask &^= arch.Bit(w)
+	s.llt[w] = pc
+	s.llpcSet(pc).mask |= arch.Bit(w)
+}
+
+// llpcSet returns the set of warps whose LLT entry is pc, reusing an empty
+// set's slot for a pc that has none.
+func (s *LAWS) llpcSet(pc arch.PC) *llpcSet {
+	free := -1
+	for i := range s.sameLLPC {
+		if e := &s.sameLLPC[i]; e.mask == 0 {
+			free = i
+		} else if e.pc == pc {
+			return e
+		}
+	}
+	if free < 0 {
+		free = len(s.sameLLPC)
+		s.sameLLPC = append(s.sameLLPC, llpcSet{})
+	}
+	s.sameLLPC[free].pc = pc
+	return &s.sameLLPC[free]
+}
+
 // OnLoadIssued implements Scheduler: form a warp group from LLT matches and
 // record it in the WGT.
 func (s *LAWS) OnLoadIssued(w arch.WarpID, pc arch.PC) int {
 	if int(w) >= s.numWarps {
 		return NoGroup
 	}
-	llpc := s.llt[w]
-	mask := arch.Bit(w)
-	for other := 0; other < s.numWarps; other++ {
-		if arch.WarpID(other) != w && s.llt[other] == llpc {
-			mask = mask.Set(arch.WarpID(other))
-		}
-	}
-	s.llt[w] = pc
+	mask := s.llpcSet(s.llt[w]).mask
+	s.setLLPC(w, pc)
 
 	id := s.nexID
 	s.nexID++
@@ -176,7 +208,7 @@ func (s *LAWS) partition(mask arch.WarpMask, membersFirst bool) {
 // OnWarpRelaunched implements Scheduler: clear the slot's load history.
 func (s *LAWS) OnWarpRelaunched(w arch.WarpID) {
 	if int(w) < s.numWarps {
-		s.llt[w] = noLLPC
+		s.setLLPC(w, noLLPC)
 	}
 }
 

@@ -41,8 +41,9 @@ func (s *MASCAR) Pick(ready arch.WarpMask, cycle int64) (arch.WarpID, bool) {
 	}
 	// Saturated: compute warps first (they make progress without adding
 	// memory pressure) ...
-	for w := arch.WarpID(0); w < arch.WarpID(s.numWarps); w++ {
-		if ready.Has(w) && !s.view.NextIsMem(w) {
+	ready &= arch.FirstWarps(s.numWarps)
+	for m := ready; m != 0; m &= m - 1 {
+		if w := m.Lowest(); !s.view.NextIsMem(w) {
 			return w, true
 		}
 	}
@@ -50,13 +51,11 @@ func (s *MASCAR) Pick(ready arch.WarpMask, cycle int64) (arch.WarpID, bool) {
 	if s.hasOwner && ready.Has(s.owner) {
 		return s.owner, true
 	}
-	for w := arch.WarpID(0); w < arch.WarpID(s.numWarps); w++ {
-		if ready.Has(w) {
-			s.owner, s.hasOwner = w, true
-			return w, true
-		}
+	if ready == 0 {
+		return 0, false
 	}
-	return 0, false
+	s.owner, s.hasOwner = ready.Lowest(), true
+	return s.owner, true
 }
 
 // OnWarpFinished implements Scheduler.

@@ -130,18 +130,24 @@ func (s *LRR) Pick(ready arch.WarpMask, _ int64) (arch.WarpID, bool) {
 	if ready == 0 {
 		return 0, false
 	}
-	// The search order next, next+1, ..., numWarps-1, 0, ..., next-1 is the
-	// lowest ready warp at or above the pointer, else the lowest of all.
-	from := ready &^ arch.FirstWarps(int(s.next))
+	return pickRotating(ready, &s.next, s.numWarps), true
+}
+
+// pickRotating returns the first warp of the non-empty set m in the search
+// order next, next+1, ..., numWarps-1, 0, ..., next-1 — the lowest member at
+// or above the pointer, else the lowest of all — and moves the pointer just
+// past it.
+func pickRotating(m arch.WarpMask, next *arch.WarpID, numWarps int) arch.WarpID {
+	from := m &^ arch.FirstWarps(int(*next))
 	if from == 0 {
-		from = ready
+		from = m
 	}
 	w := from.Lowest()
-	s.next = w + 1
-	if int(s.next) == s.numWarps {
-		s.next = 0
+	*next = w + 1
+	if int(*next) == numWarps {
+		*next = 0
 	}
-	return w, true
+	return w
 }
 
 // GTO is greedy-then-oldest: keep issuing the same warp while it is ready,

@@ -110,8 +110,10 @@ func TestPAGroupsAreNonConsecutive(t *testing.T) {
 		t.Fatalf("pick = %d, want 4 (group 0 member)", w)
 	}
 	// Consecutive warps 0 and 1 must be in different groups.
-	if s.groupOf(0) == s.groupOf(1) {
-		t.Fatal("PA put consecutive warps in the same group")
+	for _, g := range s.groups {
+		if g.Has(0) && g.Has(1) {
+			t.Fatal("PA put consecutive warps in the same group")
+		}
 	}
 }
 
