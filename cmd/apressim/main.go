@@ -265,16 +265,15 @@ func main() {
 				}
 			}
 		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
+		var doc any = all
 		if len(all) == 1 {
-			err = enc.Encode(all[0])
-		} else {
-			err = enc.Encode(all)
+			doc = all[0]
 		}
+		text, err := json.MarshalIndent(doc, "", "  ")
 		if err != nil {
 			die(err)
 		}
+		fmt.Printf("%s\n", text)
 		return
 	}
 

@@ -87,7 +87,11 @@ func (r *Runner) TwinSpeedups(app, cfgName string) (map[string]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.Twin().Speedups(r.twinID(c.id), c.w, c.cfg)
+	w, err := r.workload(&c)
+	if err != nil {
+		return nil, err
+	}
+	return r.Twin().Speedups(r.twinID(c.id), w, c.cfg)
 }
 
 // TwinDRAMPoint is one point of an analytically predicted DRAM-bandwidth
@@ -115,6 +119,10 @@ func (r *Runner) TwinDRAMBandwidth(app, cfgName string, intervals []int) ([]Twin
 	if err != nil {
 		return nil, err
 	}
+	w, err := r.workload(&cell)
+	if err != nil {
+		return nil, err
+	}
 	m, id := r.Twin(), r.twinID(cell.id)
 	out := make([]TwinDRAMPoint, 0, len(intervals))
 	var firstCycles int64
@@ -124,7 +132,7 @@ func (r *Runner) TwinDRAMBandwidth(app, cfgName string, intervals []int) ([]Twin
 		if err := c.Validate(); err != nil {
 			return nil, fmt.Errorf("harness: DRAM interval %d: %w", v, err)
 		}
-		p, err := m.Predict(id, cell.w, c)
+		p, err := m.Predict(id, w, c)
 		if err != nil {
 			return nil, err
 		}
@@ -160,7 +168,11 @@ func (r *Runner) twinServe(c *cell) (Outcome, error) {
 			return out, nil
 		}
 	}
-	p, err := r.Twin().Predict(r.twinID(c.id), c.w, c.cfg)
+	w, err := r.workload(c)
+	if err != nil {
+		return Outcome{}, err
+	}
+	p, err := r.Twin().Predict(r.twinID(c.id), w, c.cfg)
 	if err != nil {
 		return Outcome{}, err
 	}

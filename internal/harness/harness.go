@@ -235,12 +235,14 @@ func result(out Outcome, err error) (gpu.Result, error) { return out.Result, err
 // cell is a resolved Request: what runs, and the identities it runs under.
 type cell struct {
 	// id names the workload in the memo, the store and error messages
-	// ("KM", or a spec's content-addressed SpecID); label names the
-	// configuration in error messages.
+	// ("KM", or a spec's content-addressed SpecID, digested once here);
+	// label names the configuration in error messages.
 	id, label string
 	memo      runKey
-	// w and cfg are the effective workload and configuration.
-	w   workloads.Workload
+	// spec is the declarative workload of a spec cell; nil when id is a
+	// Table-IV name.
+	spec *workspec.Spec
+	// cfg is the effective configuration.
 	cfg config.Config
 	// vstamp is the version stamp the cell's store entries carry; key is
 	// its store address once address has hashed it.
@@ -259,64 +261,68 @@ func (r *Runner) address(c *cell) string {
 	return c.key
 }
 
-// resolve validates a Request's workload and configuration and derives the
-// cell's identities.
-func (r *Runner) resolve(req Request) (cell, error) {
-	c := cell{label: req.Config, vstamp: version.Stamp()}
-	cfg := req.Inline
-	if req.Config != "" {
+// workload builds the cell's effective workload: the Table-IV model
+// constructed, or the spec compiled, then scaled by the Runner. Only a cell
+// that reaches the simulator or the twin's model pays for it; one answered
+// from the memo or the store never does.
+func (r *Runner) workload(c *cell) (workloads.Workload, error) {
+	var w workloads.Workload
+	if c.spec != nil {
 		var err error
-		if cfg, err = NamedConfig(req.Config); err != nil {
-			return cell{}, err
+		if w, err = c.spec.Compile(); err != nil {
+			return w, err
 		}
-		c.memo.cfg = "name:" + req.Config
 	} else {
-		if err := cfg.Validate(); err != nil {
-			return cell{}, err
-		}
-		c.label = "cfg:" + resultstore.ConfigDigest(cfg)
-		c.memo.cfg = c.label
-	}
-	if req.Spec != nil {
-		w, err := req.Spec.Compile()
-		if err != nil {
-			return cell{}, err
-		}
-		// Spec entries fold the workspec schema+compiler version into
-		// their stamp, so a compilation change invalidates them without
-		// touching named-workload keys.
-		c.id, c.w, c.vstamp = SpecID(req.Spec), w, c.vstamp+"+"+workspec.VersionTag()
-	} else {
-		w, ok := workloads.ByName(req.Workload)
-		if !ok {
-			return cell{}, fmt.Errorf("harness: unknown workload %q", req.Workload)
-		}
-		c.id, c.w = req.Workload, w
-	}
-	c.memo.app, c.memo.loadStats = c.id, req.LoadStats
-	var err error
-	c.cfg, c.w, err = r.effective(cfg, c.w)
-	return c, err
-}
-
-// effective applies the Runner's machine overrides to a configuration and
-// a workload: the SM-count override, the Adjust hook (re-validated, because
-// a hook can break a configuration) and the iteration scale. The simulator,
-// the tracer, the twin and the store key all see this one result.
-func (r *Runner) effective(cfg config.Config, w workloads.Workload) (config.Config, workloads.Workload, error) {
-	if r.SMs > 0 {
-		cfg.NumSMs = r.SMs
-	}
-	if r.Adjust != nil {
-		r.Adjust(&cfg)
-		if err := cfg.Validate(); err != nil {
-			return cfg, w, err
-		}
+		w, _ = workloads.ByName(c.id) // resolve has vouched for the name
 	}
 	if r.Scale != 1 {
 		w.Kernel = w.Kernel.Scaled(r.Scale)
 	}
-	return cfg, w, nil
+	return w, nil
+}
+
+// resolve validates a Request's workload and configuration and derives the
+// cell's identities and effective configuration: the SM-count override and
+// the Adjust hook (re-validated, because a hook can break a configuration)
+// are applied here, so the simulator, the twin and the store key all see
+// one configuration.
+func (r *Runner) resolve(req Request) (cell, error) {
+	c := cell{label: req.Config, cfg: req.Inline, vstamp: version.Stamp()}
+	if req.Config != "" {
+		var err error
+		if c.cfg, err = NamedConfig(req.Config); err != nil {
+			return cell{}, err
+		}
+		c.memo.cfg = "name:" + req.Config
+	} else {
+		if err := c.cfg.Validate(); err != nil {
+			return cell{}, err
+		}
+		c.label = "cfg:" + resultstore.ConfigDigest(c.cfg)
+		c.memo.cfg = c.label
+	}
+	if req.Spec != nil {
+		// Spec entries fold the workspec schema+compiler version into
+		// their stamp, so a compilation change invalidates them without
+		// touching named-workload keys.
+		c.id, c.spec, c.vstamp = SpecID(req.Spec), req.Spec, c.vstamp+"+"+workspec.VersionTag()
+	} else {
+		if !workloads.Known(req.Workload) {
+			return cell{}, fmt.Errorf("harness: unknown workload %q", req.Workload)
+		}
+		c.id = req.Workload
+	}
+	c.memo.app, c.memo.loadStats = c.id, req.LoadStats
+	if r.SMs > 0 {
+		c.cfg.NumSMs = r.SMs
+	}
+	if r.Adjust != nil {
+		r.Adjust(&c.cfg)
+		if err := c.cfg.Validate(); err != nil {
+			return cell{}, err
+		}
+	}
+	return c, nil
 }
 
 // Do answers one Request. It is the only path that runs a cell: resolve the

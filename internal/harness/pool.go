@@ -112,6 +112,10 @@ func (r *Runner) PoolGauges() (capacity, busy, waiting int) {
 // request's SMJobs overrides the Runner-wide one when nonzero; whichever
 // wins, it only selects the engine, never the result.
 func (r *Runner) simulate(ctx context.Context, c *cell, req Request) (gpu.Result, error) {
+	w, err := r.workload(c)
+	if err != nil {
+		return gpu.Result{}, err
+	}
 	release, err := r.acquireSlot(ctx)
 	if err != nil {
 		return gpu.Result{}, err
@@ -132,7 +136,7 @@ func (r *Runner) simulate(ctx context.Context, c *cell, req Request) (gpu.Result
 	if smJobs > 1 {
 		opts = append(opts, gpu.WithParallelSMs(smJobs))
 	}
-	return gpu.SimulateContext(ctx, c.cfg, c.w.Kernel, opts...)
+	return gpu.SimulateContext(ctx, c.cfg, w.Kernel, opts...)
 }
 
 // mapConcurrent applies f to every item using at most workers goroutines

@@ -15,7 +15,7 @@ import (
 	"apres/internal/resultstore"
 )
 
-func storeRunner(t *testing.T, dir string) *Runner {
+func storeRunner(t testing.TB, dir string) *Runner {
 	t.Helper()
 	st, err := resultstore.Open(dir, 16)
 	if err != nil {

@@ -6,24 +6,29 @@
 package server
 
 import (
-	"fmt"
 	"net/http"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // Histogram is a fixed-bucket histogram (a +Inf bucket is implicit). It is
 // not synchronised: its owner's lock guards it.
 type Histogram struct {
 	buckets []float64
-	counts  []int64 // one per bucket, non-cumulative
-	sum     float64
-	count   int64
+	// les are the buckets formatted as le label values, once.
+	les    [][]byte
+	counts []int64 // one per bucket, non-cumulative
+	sum    float64
+	count  int64
 }
 
 // NewHistogram returns an empty histogram over the given upper bounds.
 func NewHistogram(buckets []float64) *Histogram {
-	return &Histogram{buckets: buckets, counts: make([]int64, len(buckets))}
+	h := &Histogram{buckets: buckets, les: make([][]byte, len(buckets)), counts: make([]int64, len(buckets))}
+	for i, ub := range buckets {
+		h.les[i] = appendFloat(nil, ub)
+	}
+	return h
 }
 
 // Observe records one value.
@@ -38,9 +43,10 @@ func (h *Histogram) Observe(v float64) {
 	h.count++
 }
 
-// Exposition accumulates one scrape's text.
+// Exposition accumulates one scrape's text in a single buffer, numbers and
+// quoted label values appended in place.
 type Exposition struct {
-	b      strings.Builder
+	b      []byte
 	family string
 }
 
@@ -48,38 +54,72 @@ type Exposition struct {
 // follow belong to it.
 func (e *Exposition) Family(name, kind, help string) {
 	e.family = name
-	fmt.Fprintf(&e.b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
+	e.b = append(e.b, "# HELP "...)
+	e.b = append(e.b, name...)
+	e.b = append(e.b, ' ')
+	e.b = append(e.b, help...)
+	e.b = append(e.b, "\n# TYPE "...)
+	e.b = append(e.b, name...)
+	e.b = append(e.b, ' ')
+	e.b = append(e.b, kind...)
+	e.b = append(e.b, '\n')
 }
 
 // series writes the current family's name, a suffix, and the label set
-// given as alternating names and values.
-func (e *Exposition) series(suffix string, labels []string) {
-	e.b.WriteString(e.family)
-	e.b.WriteString(suffix)
+// given as alternating names and values, up to the space before the value.
+// A non-empty le becomes a trailing le label, written as it is.
+func (e *Exposition) series(suffix string, labels []string, le []byte) {
+	e.b = append(e.b, e.family...)
+	e.b = append(e.b, suffix...)
+	sep := byte('{')
 	for i := 0; i+1 < len(labels); i += 2 {
-		sep := byte(',')
-		if i == 0 {
-			sep = '{'
-		}
-		e.b.WriteByte(sep)
-		fmt.Fprintf(&e.b, "%s=%q", labels[i], labels[i+1])
+		e.b = append(e.b, sep)
+		e.b = append(e.b, labels[i]...)
+		e.b = append(e.b, '=')
+		e.b = strconv.AppendQuote(e.b, labels[i+1])
+		sep = ','
 	}
-	if len(labels) > 0 {
-		e.b.WriteByte('}')
+	if len(le) > 0 {
+		e.b = append(e.b, sep)
+		e.b = append(e.b, `le="`...)
+		e.b = append(e.b, le...)
+		e.b = append(e.b, '"')
+		sep = ','
 	}
+	if sep == ',' {
+		e.b = append(e.b, '}')
+	}
+	e.b = append(e.b, ' ')
+}
+
+// value ends a series line with an integer value.
+func (e *Exposition) value(v int64) {
+	e.b = strconv.AppendInt(e.b, v, 10)
+	e.b = append(e.b, '\n')
+}
+
+// valueFloat ends a series line with a real value.
+func (e *Exposition) valueFloat(v float64) {
+	e.b = appendFloat(e.b, v)
+	e.b = append(e.b, '\n')
+}
+
+// appendFloat formats v as fmt's %g does.
+func appendFloat(b []byte, v float64) []byte {
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
 // Sample writes one integer-valued series of the current family; labels
 // alternate names and values.
 func (e *Exposition) Sample(v int64, labels ...string) {
-	e.series("", labels)
-	fmt.Fprintf(&e.b, " %d\n", v)
+	e.series("", labels, nil)
+	e.value(v)
 }
 
 // SampleFloat is Sample for a real-valued series.
 func (e *Exposition) SampleFloat(v float64, labels ...string) {
-	e.series("", labels)
-	fmt.Fprintf(&e.b, " %g\n", v)
+	e.series("", labels, nil)
+	e.valueFloat(v)
 }
 
 // Counter writes a family of one unlabelled counter.
@@ -97,27 +137,24 @@ func (e *Exposition) Gauge(name, help string, v int64) {
 // Histogram writes h as series of the current family — cumulative buckets,
 // sum and count — under the given labels.
 func (e *Exposition) Histogram(h *Histogram, labels ...string) {
-	le := append(append([]string(nil), labels...), "le", "")
 	var cum int64
-	for i, ub := range h.buckets {
+	for i, le := range h.les {
 		cum += h.counts[i]
-		le[len(le)-1] = fmt.Sprintf("%g", ub)
-		e.series("_bucket", le)
-		fmt.Fprintf(&e.b, " %d\n", cum)
+		e.series("_bucket", labels, le)
+		e.value(cum)
 	}
-	le[len(le)-1] = "+Inf"
-	e.series("_bucket", le)
-	fmt.Fprintf(&e.b, " %d\n", h.count)
-	e.series("_sum", labels)
-	fmt.Fprintf(&e.b, " %g\n", h.sum)
-	e.series("_count", labels)
-	fmt.Fprintf(&e.b, " %d\n", h.count)
+	e.series("_bucket", labels, []byte("+Inf"))
+	e.value(h.count)
+	e.series("_sum", labels, nil)
+	e.valueFloat(h.sum)
+	e.series("_count", labels, nil)
+	e.value(h.count)
 }
 
 // WriteTo sends the exposition as an HTTP response.
 func (e *Exposition) WriteTo(w http.ResponseWriter) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write([]byte(e.b.String())) // a failed write means the scraper went away
+	_, _ = w.Write(e.b) // a failed write means the scraper went away
 }
 
 // SortedKeys returns m's keys in ascending order, for deterministic

@@ -6,7 +6,7 @@
 package server
 
 import (
-	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -115,10 +115,10 @@ func (m *metrics) render(e *Exposition) {
 	jobs := SortedKeys(m.parallelRuns)
 	e.Family("apresd_epoch_coverage", "gauge", "Epoch coverage (fraction of executed, not idle-skipped, simulated cycles inside parallel epochs) of the most recent parallel run, by worker count.")
 	for _, j := range jobs {
-		e.SampleFloat(m.epochCoverage[j], "smjobs", fmt.Sprint(j))
+		e.SampleFloat(m.epochCoverage[j], "smjobs", strconv.Itoa(j))
 	}
 	e.Family("apresd_parallel_runs_total", "counter", "Completed parallel-engine runs by worker count.")
 	for _, j := range jobs {
-		e.Sample(m.parallelRuns[j], "smjobs", fmt.Sprint(j))
+		e.Sample(m.parallelRuns[j], "smjobs", strconv.Itoa(j))
 	}
 }

@@ -1,0 +1,7 @@
+//go:build race
+
+package server
+
+// raceEnabled reports that the race detector is active: allocation budgets
+// skip themselves, since under it sync.Pool drops items at random.
+const raceEnabled = true

@@ -193,7 +193,7 @@ func (req *SimulateRequest) resolve() (run harness.Request, name, label string, 
 		}
 		run.Spec, name = req.Spec, req.Spec.Label()
 	default:
-		if _, ok := workloads.ByName(req.Workload); !ok {
+		if !workloads.Known(req.Workload) {
 			return run, "", "", fmt.Errorf("unknown workload %q", req.Workload)
 		}
 		run.Workload, name = req.Workload, req.Workload
@@ -500,12 +500,18 @@ type Cell struct {
 	Spec *workspec.Spec
 	// Config is the named configuration.
 	Config string
+	// label is the spec's label when Cells has already digested the spec —
+	// once for all the cells that share it.
+	label string
 }
 
 // Name labels the cell's workload axis: the benchmark name, or the spec's
 // content-addressed label.
 func (c Cell) Name() string {
-	if c.Spec != nil {
+	switch {
+	case c.label != "":
+		return c.label
+	case c.Spec != nil:
 		return c.Spec.Label()
 	}
 	return c.Workload
@@ -534,7 +540,7 @@ func (req *SweepRequest) Cells() ([]Cell, error) {
 		return nil, fmt.Errorf("sm_jobs must be >= 0, got %d", req.SMJobs)
 	}
 	for _, app := range req.Workloads {
-		if _, ok := workloads.ByName(app); !ok {
+		if !workloads.Known(app) {
 			return nil, fmt.Errorf("unknown workload %q", app)
 		}
 	}
@@ -558,8 +564,9 @@ func (req *SweepRequest) Cells() ([]Cell, error) {
 		}
 	}
 	for _, sp := range req.Specs {
+		label := sp.Label()
 		for _, cfg := range req.Configs {
-			cells = append(cells, Cell{Spec: sp, Config: cfg})
+			cells = append(cells, Cell{Spec: sp, Config: cfg, label: label})
 		}
 	}
 	return cells, nil

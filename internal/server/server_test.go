@@ -30,7 +30,7 @@ import (
 
 // newTestServer returns a Server over a small-scale Runner persisting into
 // dir ("" = no store).
-func newTestServer(t *testing.T, dir string, timeout time.Duration) (*Server, *harness.Runner) {
+func newTestServer(t testing.TB, dir string, timeout time.Duration) (*Server, *harness.Runner) {
 	t.Helper()
 	r := harness.NewRunner(0.05, 2)
 	r.Jobs = 8

@@ -1,12 +1,16 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -89,7 +93,7 @@ func (k *Skeleton) WriteRequests(e *Exposition, name string) {
 	})
 	e.Family(name, "counter", "Finished HTTP requests by endpoint and status code.")
 	for _, key := range keys {
-		e.Sample(k.requests[key], "endpoint", key.endpoint, "code", fmt.Sprint(key.code))
+		e.Sample(k.requests[key], "endpoint", key.endpoint, "code", strconv.Itoa(key.code))
 	}
 }
 
@@ -130,13 +134,94 @@ func (k *Skeleton) ListenAndServe(ctx context.Context, addr string, drain time.D
 
 // WriteJSON answers with v as indented JSON. Every JSON body either daemon
 // sends goes through here, which is what makes a coordinator's merged sweep
-// byte-identical to a single worker's.
+// byte-identical to a single worker's. The body is what encoding/json's own
+// Encoder writes when told to indent by two spaces; it is built in a pooled
+// buffer and sent in one Write. No Content-Length is set: net/http frames the
+// body, and a body beyond its write buffer then ends only once the handler
+// has returned, which is what lets a client-side span enclose the handler's
+// (bench's traced serve_mixed run checks that). A value that cannot be
+// encoded is answered 500.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
+	b := bodyPool.Get().(*body)
+	defer bodyPool.Put(b)
+	b.compact.Reset()
+	if err := json.NewEncoder(&b.compact).Encode(v); err != nil {
+		code = http.StatusInternalServerError
+		b.compact.Reset()
+		_ = json.NewEncoder(&b.compact).Encode(apiError{Error: "encoding response: " + err.Error()})
+	}
+	b.indented = appendIndent(b.indented[:0], b.compact.Bytes())
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // a failed write means the client went away
+	_, _ = w.Write(b.indented) // a failed write means the client went away
+}
+
+// body is the scratch space of one WriteJSON call.
+type body struct {
+	compact  bytes.Buffer
+	indented []byte
+}
+
+var bodyPool = sync.Pool{New: func() any { return new(body) }}
+
+// appendIndent appends to dst the compact JSON text src indented by two
+// spaces per level, byte for byte what json.Indent(dst, src, "", "  ")
+// produces. It is a single pass that tracks only whether it is inside a
+// string, because src is trusted: it is encoding/json's own output, so it is
+// valid, has no whitespace between tokens, and escapes every quote and
+// backslash inside a string with a backslash. Bytes after the top-level
+// value (the Encoder's newline) are copied through.
+func appendIndent(dst, src []byte) []byte {
+	depth := 0
+	// opened delays the line break after '{' or '[' by one byte, so that
+	// empty objects and arrays stay "{}" and "[]".
+	opened := false
+	for i := 0; i < len(src); i++ {
+		c := src[i]
+		if opened && c != '}' && c != ']' {
+			depth++
+			dst = appendNewline(dst, depth)
+		}
+		switch c {
+		case '"':
+			j := i + 1
+			for src[j] != '"' {
+				if src[j] == '\\' {
+					j++
+				}
+				j++
+			}
+			dst = append(dst, src[i:j+1]...)
+			i = j
+		case '{', '[':
+			dst = append(dst, c)
+			opened = true
+			continue
+		case ',':
+			dst = append(dst, c)
+			dst = appendNewline(dst, depth)
+		case ':':
+			dst = append(dst, ':', ' ')
+		case '}', ']':
+			if !opened {
+				depth--
+				dst = appendNewline(dst, depth)
+			}
+			dst = append(dst, c)
+		default:
+			dst = append(dst, c)
+		}
+		opened = false
+	}
+	return dst
+}
+
+func appendNewline(dst []byte, depth int) []byte {
+	dst = append(dst, '\n')
+	for ; depth > 0; depth-- {
+		dst = append(dst, ' ', ' ')
+	}
+	return dst
 }
 
 type apiError struct {
@@ -149,9 +234,18 @@ func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 // DecodeBody reads a bounded JSON request body into v. A malformed or
-// oversized body is answered 400 and reported false.
+// oversized body, or one with anything but whitespace after its JSON value,
+// is answered 400 and reported false.
 func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err := dec.Decode(v); err != nil {
+		WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
+		return false
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("unexpected data after the JSON value")
+		}
 		WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return false
 	}

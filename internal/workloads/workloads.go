@@ -107,31 +107,59 @@ func store(pc uint32, p kernel.Pattern) []kernel.Inst {
 	return []kernel.Inst{{Op: kernel.OpStore, PC: arch.PC(pc), Pattern: p}}
 }
 
-// All returns the 15 workloads in the paper's Table IV order.
-func All() []Workload {
-	return []Workload{
-		bfs(), mum(), nw(), spmv(), km(),
-		lud(), srad(), pa(), histo(), bp(),
-		pf(), cs(), st(), hs(), sp(),
-	}
+// registry lists the 15 workloads in the paper's Table IV order, each under
+// the abbreviation its constructor gives the kernel. A lookup runs one
+// constructor, so no two callers ever share a slice and nothing a caller
+// writes into a returned Workload can reach a later lookup.
+var registry = []struct {
+	name  string
+	build func() Workload
+}{
+	{"BFS", bfs}, {"MUM", mum}, {"NW", nw}, {"SPMV", spmv}, {"KM", km},
+	{"LUD", lud}, {"SRAD", srad}, {"PA", pa}, {"HISTO", histo}, {"BP", bp},
+	{"PF", pf}, {"CS", cs}, {"ST", st}, {"HS", hs}, {"SP", sp},
 }
 
-// ByName returns the workload with the given abbreviation.
-func ByName(name string) (Workload, bool) {
-	for _, w := range All() {
-		if w.Kernel.Name == name {
-			return w, true
-		}
+// index maps an abbreviation to its constructor.
+var index = func() map[string]func() Workload {
+	m := make(map[string]func() Workload, len(registry))
+	for _, e := range registry {
+		m[e.name] = e.build
 	}
-	return Workload{}, false
+	return m
+}()
+
+// All returns the 15 workloads in the paper's Table IV order.
+func All() []Workload {
+	ws := make([]Workload, len(registry))
+	for i, e := range registry {
+		ws[i] = e.build()
+	}
+	return ws
+}
+
+// ByName returns the workload with the given abbreviation, building only
+// that one.
+func ByName(name string) (Workload, bool) {
+	build, ok := index[name]
+	if !ok {
+		return Workload{}, false
+	}
+	return build(), true
+}
+
+// Known reports whether name is one of the 15 abbreviations, without
+// building the workload.
+func Known(name string) bool {
+	_, ok := index[name]
+	return ok
 }
 
 // Names lists the benchmark abbreviations in paper order.
 func Names() []string {
-	ws := All()
-	ns := make([]string, len(ws))
-	for i, w := range ws {
-		ns[i] = w.Kernel.Name
+	ns := make([]string, len(registry))
+	for i, e := range registry {
+		ns[i] = e.name
 	}
 	return ns
 }

@@ -429,11 +429,9 @@ func (s *Spec) Label() string {
 // Encode renders the spec as indented JSON with a trailing newline, for
 // writing spec files.
 func (s *Spec) Encode() []byte {
-	var b bytes.Buffer
-	enc := json.NewEncoder(&b)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(s)
-	return b.Bytes()
+	// A validated spec of plain scalars cannot fail to marshal.
+	b, _ := json.MarshalIndent(s, "", "  ")
+	return append(b, '\n')
 }
 
 // quoteList renders valid enum values for error messages.
