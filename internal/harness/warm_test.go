@@ -45,6 +45,27 @@ func TestWarmPathAllocBudget(t *testing.T) {
 	if got := testing.AllocsPerRun(200, hit); got > budget {
 		t.Errorf("Runner.Do memo hit: %.0f allocs, budget %d", got, budget)
 	}
+
+	// A store hit — what every cell of a second cmd/experiments run pays: a
+	// fresh Runner over a fresh Store on the warm directory, one entry file
+	// read and decoded. It measures 52 allocations (the Runner and Store
+	// themselves included; 47 when entries were whole JSON documents, most
+	// of the difference being the header's re-encode check). A second read
+	// of the file, or a copy of the entry per hit, shows here first.
+	storeHit := func() {
+		fresh := storeRunner(t, r.Store.Dir())
+		out, err := fresh.Do(ctx, reqs[i%len(reqs)])
+		if err != nil || !out.Cached || fresh.Stats().StoreHits != 1 {
+			t.Fatalf("not a store hit: cached=%v stats=%+v err=%v", out.Cached, fresh.Stats(), err)
+		}
+		i++
+	}
+	const storeBudget = 60
+	got := testing.AllocsPerRun(50, storeHit)
+	t.Logf("Runner.Do store hit on a fresh Runner and Store: %.0f allocs", got)
+	if got > storeBudget {
+		t.Errorf("Runner.Do store hit: %.0f allocs, budget %d", got, storeBudget)
+	}
 	if testing.Short() {
 		return
 	}
@@ -64,6 +85,22 @@ func TestWarmPathAllocBudget(t *testing.T) {
 	t.Logf("Runner.Do memo hit: %v", best)
 	if best > 8*time.Microsecond {
 		t.Errorf("Runner.Do memo hit takes %v, want a few microseconds", best)
+	}
+}
+
+// BenchmarkDoStoreHit is one cell of a replay over a warm store: a fresh
+// Runner and Store (as a restarted process has), one Do answered from disk.
+func BenchmarkDoStoreHit(b *testing.B) {
+	r, reqs := warmRunner(b)
+	dir := r.Store.Dir()
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fresh := storeRunner(b, dir)
+		if out, err := fresh.Do(ctx, reqs[i%len(reqs)]); err != nil || !out.Cached {
+			b.Fatalf("not a store hit: cached=%v err=%v", out.Cached, err)
+		}
 	}
 }
 

@@ -7,9 +7,12 @@
 // model change silently invalidates the whole store because new builds hash
 // to new keys.
 //
-// The store is a directory of JSON files (sharded by key prefix) behind an
-// in-memory LRU front. Writes go to a temp file in the same directory and
-// are renamed into place, so a crash never leaves a half-written entry
+// The store is a directory of entry files (sharded by key prefix) behind an
+// in-memory LRU front. An entry file is one JSON header line — the Entry
+// with its counters zeroed, so `head -1` shows where a result came from —
+// followed by the counters themselves as fixed-width binary stats.Stats
+// blocks (see encodeEntry). Writes go to a temp file in the same directory
+// and are renamed into place, so a crash never leaves a half-written entry
 // under a valid key; unreadable or mismatching files are treated as misses,
 // never as errors.
 package resultstore
@@ -30,9 +33,10 @@ import (
 	"apres/internal/gpu"
 )
 
-// schema versions the on-disk entry layout. Bump it when Entry or
-// gpu.Result change shape incompatibly: old files then hash under keys
-// nobody computes any more and are simply never read.
+// schema versions what an entry means. Bump it when Entry or gpu.Result
+// change shape incompatibly: old files then hash under keys nobody computes
+// any more and are simply never read. (The file layout is versioned by the
+// file name instead, so a new layout leaves every key as it was.)
 //
 // Schema 2 added engine tagging (Engine + ErrorBound*): entries written by
 // the analytical twin share keys with exact runs, so pre-engine stores must
@@ -122,8 +126,8 @@ type Stats struct {
 	Misses int64
 	// Puts stored a new entry.
 	Puts int64
-	// Corrupt counts on-disk entries that failed to load (bad JSON, key
-	// mismatch) and were treated as misses.
+	// Corrupt counts on-disk entries that failed to load (a malformed
+	// header or counter blocks, key mismatch) and were treated as misses.
 	Corrupt int64
 }
 
@@ -190,26 +194,11 @@ func ValidKey(key string) bool {
 	return true
 }
 
-// Contains reports whether key is resident in memory or on disk, without
-// loading it or touching the hit/miss counters.
-func (s *Store) Contains(key string) bool {
-	if !ValidKey(key) {
-		return false
-	}
-	s.mu.Lock()
-	_, ok := s.byKey[key]
-	s.mu.Unlock()
-	if ok {
-		return true
-	}
-	_, err := os.Stat(s.path(key))
-	return err == nil
-}
-
 // path maps a key to its on-disk location, sharded by the first two hex
-// characters so no single directory grows unbounded.
+// characters so no single directory grows unbounded. The extension names
+// the file layout: files of an earlier layout are never opened.
 func (s *Store) path(key string) string {
-	return filepath.Join(s.dir, key[:2], key+".json")
+	return filepath.Join(s.dir, key[:2], key+".entry")
 }
 
 // Get returns the entry stored under key, consulting memory first and then
@@ -240,8 +229,8 @@ func (s *Store) Get(key string) (Entry, bool) {
 		s.mu.Unlock()
 		return Entry{}, false
 	}
-	var e Entry
-	if err := json.Unmarshal(data, &e); err != nil || e.Key != key {
+	e, err := decodeEntry(data)
+	if err != nil || e.Key != key {
 		// Torn, truncated or foreign file: treat as a miss, never an error.
 		s.mu.Lock()
 		s.stats.Corrupt++
@@ -301,6 +290,10 @@ func (s *Store) insertLocked(e *Entry) {
 
 // writeFile persists e with write-temp-then-rename atomicity.
 func (s *Store) writeFile(key string, e *Entry) error {
+	data, err := encodeEntry(e)
+	if err != nil {
+		return fmt.Errorf("resultstore: encode %s: %w", key[:8], err)
+	}
 	dir := filepath.Dir(s.path(key))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("resultstore: %w", err)
@@ -309,11 +302,10 @@ func (s *Store) writeFile(key string, e *Entry) error {
 	if err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
-	enc := json.NewEncoder(tmp)
-	if err := enc.Encode(e); err != nil {
+	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
-		return fmt.Errorf("resultstore: encode %s: %w", key[:8], err)
+		return fmt.Errorf("resultstore: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())

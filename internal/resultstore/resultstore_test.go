@@ -1,12 +1,15 @@
 package resultstore
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"apres/internal/config"
 	"apres/internal/gpu"
@@ -14,12 +17,14 @@ import (
 )
 
 func testEntry(workload string, cycles int64) Entry {
+	cfg := config.Baseline()
+	cfg.NumSMs = 2
 	return Entry{
 		Workload: workload,
 		Scale:    0.1,
 		Version:  "test",
 		Result: gpu.Result{
-			Config: config.Baseline(),
+			Config: cfg,
 			Kernel: workload,
 			Cycles: cycles,
 			Total:  stats.Stats{Cycles: cycles, Instructions: 3 * cycles},
@@ -47,6 +52,23 @@ func TestKeyDeterministicAndSensitive(t *testing.T) {
 	for what, k := range distinct {
 		if k == k1 {
 			t.Errorf("changing %s did not change the key", what)
+		}
+	}
+}
+
+// TestKeyPinned fixes Key's output for fixed inputs: the file layout is
+// versioned by the file name, so changing it must leave every key — in the
+// API, the contract goldens and existing stores — as it was. Only a change
+// to what a key hashes (schema, config.Config's shape) may move these.
+func TestKeyPinned(t *testing.T) {
+	for _, c := range []struct {
+		got, want string
+	}{
+		{Key("BFS", 0.25, true, config.Baseline(), "v1"), "a413bc625068cdabcf5da688a73132335dbbb5021af22aa73bbde843edf7d5fb"},
+		{Key("SP", 1, false, config.APRES(), "v1+spec"), "aeaad640b26c094b0b42e0e1146b1c35dd80ef77da4d874ae884884fe36df6b2"},
+	} {
+		if c.got != c.want {
+			t.Errorf("Key = %s, want %s", c.got, c.want)
 		}
 	}
 }
@@ -154,35 +176,93 @@ func TestCorruptFilesAreMisses(t *testing.T) {
 	}
 	e := testEntry("BFS", 42)
 	key := Key(e.Workload, e.Scale, false, e.Result.Config, e.Version)
+	e.Key, e.CreatedAt = key, time.Date(2026, 1, 2, 3, 4, 5, 6, time.UTC)
 	if err := s.Put(key, e); err != nil {
 		t.Fatal(err)
 	}
 
-	// Garbage, truncation, and a valid entry under the wrong key must all
-	// read as misses, never as errors or panics.
-	fresh := func() *Store {
+	path := s.path(key)
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := bytes.IndexByte(good, '\n') + 1 // the header line, newline included
+	header, blocks := good[:end], good[end:]
+	if len(blocks) != 3*blockSize {
+		t.Fatalf("entry for 2 SMs has %d counter bytes, want 3 blocks of %d", len(blocks), blockSize)
+	}
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	reheader := func(mutate func(*Entry)) []byte { // a well-formed header line, changed by mutate
+		e := e
+		e.Result.Total, e.Result.PerSM = stats.Stats{}, nil
+		mutate(&e)
+		h, err := json.Marshal(&e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(h, '\n')
+	}
+	if !bytes.Equal(cat(reheader(func(*Entry) {}), blocks), good) {
+		t.Fatal("an unchanged header does not rebuild the stored file")
+	}
+	flip := func(i int) []byte {
+		b := bytes.Clone(good)
+		b[i] ^= 0x20
+		return b
+	}
+	var whole bytes.Buffer // the layout before counter blocks: one JSON document
+	if err := json.NewEncoder(&whole).Encode(e); err != nil {
+		t.Fatal(err)
+	}
+
+	// Every file that is not exactly what encodeEntry writes for this key
+	// reads as a counted corrupt miss, never as a hit, an error or a panic.
+	for name, data := range map[string][]byte{
+		"garbage":             []byte("not json {"),
+		"truncated header":    header[:end/2],
+		"header only":         header,
+		"header, no newline":  header[:end-1],
+		"tail mid-block":      good[:len(good)-blockSize/2],
+		"tail at a block":     good[:len(good)-blockSize],
+		"trailing byte":       cat(good, []byte{0}),
+		"trailing newline":    cat(good, []byte("\n")),
+		"trailing block":      cat(good, blocks[:blockSize]),
+		"blocks for 3 SMs":    cat(reheader(func(e *Entry) { e.Result.Config.NumSMs = 3 }), blocks),
+		"blocks for 1 SM":     cat(reheader(func(e *Entry) { e.Result.Config.NumSMs = 1 }), blocks),
+		"counters in header":  cat(reheader(func(e *Entry) { e.Result.Total.Cycles = 1 }), blocks),
+		"wrong key":           cat(reheader(func(e *Entry) { e.Key = strings.Repeat("0", 64) }), blocks),
+		"flipped brace":       flip(0),
+		"flipped field name":  flip(bytes.Index(good, []byte(`"workload"`)) + 2),
+		"flipped key byte":    flip(bytes.Index(good, []byte(key))),
+		"indented header":     cat(bytes.Replace(header, []byte(`,"workload"`), []byte(`, "workload"`), 1), blocks),
+		"whole-JSON entry":    whole.Bytes(),
+		"whole-JSON, no tail": bytes.TrimSuffix(whole.Bytes(), []byte("\n")),
+	} {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 		st, err := Open(dir, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return st
-	}
-	path := filepath.Join(dir, key[:2], key+".json")
-	for name, mutate := range map[string]func() error{
-		"garbage":  func() error { return os.WriteFile(path, []byte("not json {"), 0o644) },
-		"truncate": func() error { return os.WriteFile(path, []byte(`{"key":"`), 0o644) },
-		"wrongkey": func() error { return os.WriteFile(path, []byte(`{"key":"deadbeef"}`), 0o644) },
-	} {
-		if err := mutate(); err != nil {
-			t.Fatal(err)
-		}
-		st := fresh()
 		if _, ok := st.Get(key); ok {
 			t.Errorf("%s: corrupted file served as a hit", name)
 		}
 		if got := st.Stats(); got.Corrupt != 1 || got.Misses != 1 {
 			t.Errorf("%s: stats = %+v, want corrupt=1 misses=1", name, got)
 		}
+	}
+
+	// The untouched bytes still load: every case above failed on its change.
+	if err := os.WriteFile(path, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := st.Get(key); !ok {
+		t.Fatal("the original file no longer loads")
 	}
 }
 

@@ -227,6 +227,54 @@ func TestResultsByKeyAndInlineConfig(t *testing.T) {
 	}
 }
 
+// TestResultBytesMatchJSONEntries pins GET /v1/results/{key} to the bytes it
+// served while store entries were whole JSON documents: a disk read must
+// answer exactly what encoding/json gave back for the entry that was Put.
+func TestResultBytesMatchJSONEntries(t *testing.T) {
+	dir := t.TempDir()
+	_, r := newTestServer(t, dir, 0)
+	ctx := context.Background()
+	var keys []string
+	for _, req := range []harness.Request{
+		{Workload: "SP", Config: "apres"},
+		{Workload: "KM", Config: "gto", EngineReq: harness.EngineReq{Engine: harness.EngineTwin}},
+	} {
+		out, err := r.Do(ctx, req)
+		if err != nil || out.Key == "" {
+			t.Fatalf("%s/%s: key %q, err %v", req.Workload, req.Config, out.Key, err)
+		}
+		keys = append(keys, out.Key)
+	}
+
+	s2, r2 := newTestServer(t, dir, 0) // a restarted daemon: every GET reads the disk
+	for _, key := range keys {
+		stored, ok := r.Store.Get(key) // the in-memory copy that Put wrote out
+		if !ok {
+			t.Fatal("entry missing from the writer's memory front")
+		}
+		data, err := json.Marshal(stored)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var parsed resultstore.Entry
+		if err := json.Unmarshal(data, &parsed); err != nil {
+			t.Fatal(err)
+		}
+		want := httptest.NewRecorder()
+		WriteJSON(want, http.StatusOK, parsed)
+
+		got := httptest.NewRecorder()
+		s2.ServeHTTP(got, httptest.NewRequest("GET", "/v1/results/"+key, nil))
+		if got.Code != http.StatusOK || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Errorf("%s (%s): GET answers %d, %d bytes; the JSON entry gives %d bytes", key[:8],
+				stored.Engine, got.Code, got.Body.Len(), want.Body.Len())
+		}
+	}
+	if st := r2.Store.Stats(); st.DiskHits != int64(len(keys)) {
+		t.Fatalf("restarted store stats = %+v, want %d disk hits", st, len(keys))
+	}
+}
+
 func TestBadRequestsReturn400(t *testing.T) {
 	s, _ := newTestServer(t, "", 0)
 	ts := httptest.NewServer(s)
