@@ -73,10 +73,6 @@ type MemSystem struct {
 	returnLeg int64
 	responses []Response // scratch, reused across Tick calls
 	tr        *trace.Tracer
-	// hitEvents counts evL2Hit entries currently queued, so
-	// NextResponseCycle knows whether the head-cycle bound must be padded
-	// by the DRAM return leg without scanning the queue.
-	hitEvents int
 	// fillLines maps each line with an in-flight DRAM fill to its fill
 	// event, maintained only when trackFills is on (the parallel engine
 	// enables it; the serial engine never pays for it). The parallel engine's
@@ -202,9 +198,7 @@ func (m *MemSystem) access(p int, req arch.MemReq, cycle int64) {
 func (m *MemSystem) push(e event) {
 	e.seq = m.seq
 	m.seq++
-	if e.kind == evL2Hit {
-		m.hitEvents++
-	} else if m.trackFills {
+	if e.kind == evDRAMFill && m.trackFills {
 		m.fillLines.Put(e.req.Line, fillRef{cycle: e.cycle, seq: e.seq})
 	}
 	m.events.push(e)
@@ -246,11 +240,9 @@ func (m *MemSystem) TrackFills(on bool) {
 }
 
 // NextFillCycle returns the cycle of the earliest scheduled DRAM fill
-// event, or -1 when none is scheduled.
-// The parallel engine uses it as an epoch bound: inside a window with no
-// fill pops, every response the memory system can produce is an L2 hit
-// whose timing and target were fixed when the request was issued — which
-// is what makes the engine's hit lookahead exact.
+// event, or -1 when none is scheduled. The parallel engine uses it as an
+// epoch bound only when retries are pending at window start (see
+// PendingRetries): such a window stops before the first fill pop.
 func (m *MemSystem) NextFillCycle() int64 {
 	if t := m.events.nextFill(); t != noEvent {
 		return t
@@ -354,7 +346,6 @@ func (m *MemSystem) Tick(cycle int64) []Response {
 			e := &r.slab[slot]
 			switch e.kind {
 			case evL2Hit:
-				m.hitEvents--
 				m.responses = append(m.responses, Response{Req: e.req, ReadyCycle: e.cycle})
 				if m.tr != nil {
 					m.tr.Emit(trace.Event{Kind: trace.KindL2Leave, Unit: e.partition,
@@ -403,26 +394,6 @@ func (m *MemSystem) NextEventCycle(cycle int64) int64 {
 		return -1
 	}
 	return m.events.head
-}
-
-// NextResponseCycle returns a conservative (never late) lower bound on the
-// earliest cycle at which any currently scheduled event can produce a
-// response toward an SM, or -1 when no events are scheduled. An L2 hit
-// event at cycle t yields a response ready at t; a DRAM fill at t wakes its
-// waiters at t+returnLeg, so when the ring holds no hit events the head
-// cycle can be padded by the return leg. MSHR-stalled retries need no term
-// of their own: a retry at cycle c first responds at c+L2Latency, beyond
-// the parallel engine's epoch-length cap, which is the one caller of this
-// bound.
-func (m *MemSystem) NextResponseCycle() int64 {
-	if m.events.n == 0 {
-		return -1
-	}
-	t := m.events.head
-	if m.hitEvents == 0 {
-		t += m.returnLeg
-	}
-	return t
 }
 
 // QueueDepth returns the number of requests currently inside the memory

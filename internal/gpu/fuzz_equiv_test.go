@@ -6,6 +6,7 @@ import (
 
 	"apres/internal/arch"
 	"apres/internal/kernel"
+	"apres/internal/trace"
 )
 
 // This file extends the engine-equivalence guarantee beyond the 15 Table I
@@ -19,7 +20,9 @@ import (
 
 // checkEngineEquivalence decodes raw fuzz inputs into a valid workload
 // shape (every input decodes to something runnable — the fuzzer explores
-// shapes, not validity) and asserts serial ≡ skip ≡ parallel.
+// shapes, not validity) and asserts serial ≡ skip ≡ parallel, and that a
+// traced parallel run emits the serial run's event stream and interval
+// samples and takes the untraced parallel run's epochs.
 func checkEngineEquivalence(t *testing.T,
 	warps, iters, aluN, jitter, lane1, lane2, flags uint8,
 	ws1, ws2 int16, wrap1, wrap2 uint16, seed uint64) {
@@ -128,6 +131,24 @@ func checkEngineEquivalence(t *testing.T,
 				v.name, v.name, v.res.PerSM, ref.PerSM)
 		}
 	}
+
+	// Traced legs: fill-heavy random shapes put many NoC injections inside
+	// each window, which is what the barrier's inject merge must order.
+	traced := func(opts ...Option) equivRun {
+		sink := &trace.CollectSink{}
+		tr := trace.New(sink, 64)
+		res, err := Simulate(cfg, kern, append(opts, WithTrace(tr))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return equivRun{Res: res, Events: sink.Events, Samples: sink.Samples}
+	}
+	parTr := traced(WithParallelSMs(jobs))
+	requireSameRun(t, "parallel+trace", traced(), parTr)
+	requireSameRegime(t, "parallel", par.EngineStats, parTr.Res.EngineStats)
 }
 
 // FuzzEngineEquivalence is the native-fuzzing entry point (CI runs a short

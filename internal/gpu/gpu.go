@@ -429,7 +429,7 @@ func (g *GPU) skipTo(cycle, maxCycles int64) int64 {
 		if g.tr != nil {
 			// Merge the freshly buffered stall events now, before any later
 			// cycle emits to the shared stream ahead of them.
-			g.eng.mergeStrays()
+			g.eng.drainStep(from, nil)
 		}
 	}
 	if iv := g.timelineInterval; iv > 0 {

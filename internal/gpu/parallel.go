@@ -18,7 +18,7 @@
 // every statistic, trace streams, and interval samples, at every worker
 // count.
 //
-// Epoch windows. In untraced runs, cycles [S, E] form a valid epoch when
+// Epoch windows. Cycles [S, E] form a valid epoch when
 //
 //	E <= S + min(L2Latency, DRAMLatency) - 1   (latency floor)
 //	E <  memSys.NextFillCycle()   only if retries are pending at S
@@ -83,16 +83,16 @@
 // here (smLane), its queue and credit in the NoC — sit in one padded slot
 // per SM, so cores working on neighbouring SMs never write the same line.
 //
-// Traced runs keep the strict PR 6 bounds —
-//
-//	E <  net.NextDeliveryCycle(S-1)      (no queued response can arrive)
-//	E <  memSys.NextResponseCycle()      (no scheduled event can respond)
-//	E <= S + min(L2Latency, DRAMLatency) - 1
-//
-// — so no delivery happens inside a traced epoch at all. Tracing is for
-// debugging, not throughput, and keeping deliveries out of traced windows
-// keeps the shared-stream KindNoCInject events (whose queue-depth argument
-// is observable) at their exact serial emission points.
+// Tracing. A traced run takes exactly the windows an untraced one does.
+// Each SM emits into its own local tracer — its NoC injections and
+// deliveries too (noc.SetSMTracers) — stamped by its worker's clock. The
+// barrier walks the window cycle by cycle and rebuilds the serial order of
+// each cycle: memSys.Tick(c) emits the shared side's events and returns its
+// responses in the serial loop's enqueue order; for each response the
+// barrier moves the head of that SM's unmerged local stream, the worker's
+// KindNoCInject for it (with the queue depth the worker saw), into the
+// shared stream; then it splices each SM's remaining events at c with its
+// buffered requests by stream position, SM by SM.
 package gpu
 
 import (
@@ -166,7 +166,8 @@ type smLaneState struct {
 	// from outside.
 	wake int64
 
-	// port buffers the SM's memory-system injections (parallel runs only).
+	// port buffers the SM's memory-system injections (parallel runs only)
+	// and holds its local tracer.
 	port smPort
 
 	// sched is the SM's response schedule for the current epoch: every
@@ -313,11 +314,8 @@ type parallelEngine struct {
 	g      *GPU
 	jobs   int
 	traced bool
-	// deliver is whether workers run NoC deliveries inside epochs (untraced
-	// runs; see the package comment for why traced runs do not).
-	deliver bool
-	minLat  int64 // min(L2Latency, DRAMLatency)
-	retLeg  int64 // DRAM-fill return leg, for mirrored merge responses
+	minLat int64 // min(L2Latency, DRAMLatency)
+	retLeg int64 // DRAM-fill return leg, for mirrored merge responses
 
 	// prof counts executed epochs, the cycles they covered, and where the
 	// coordinating goroutine's wall time went (Result.EngineStats).
@@ -396,12 +394,9 @@ func newParallelEngine(g *GPU) *parallelEngine {
 		pendTr:  sc.pendTr[:0],
 		sc:      sc,
 	}
-	e.deliver = !e.traced
-	if e.deliver {
-		// The fill mirrors must cover every fill scheduled from cycle 0 on;
-		// the engine exists before the first request enters the system.
-		g.memSys.TrackFills(true)
-	}
+	// The fill mirrors must cover every fill scheduled from cycle 0 on; the
+	// engine exists before the first request enters the system.
+	g.memSys.TrackFills(true)
 	e.bar.coord.wake = make(chan struct{}, 1)
 	e.bar.workers = make([]parker, jobs-1)
 	for w := range e.bar.workers {
@@ -417,9 +412,7 @@ func newParallelEngine(g *GPU) *parallelEngine {
 func (e *parallelEngine) stop() {
 	e.fanOut(epochWindow{stop: true})
 	e.awaitWorkers(0)
-	if e.deliver {
-		e.g.memSys.TrackFills(false)
-	}
+	e.g.memSys.TrackFills(false)
 	sc := e.sc
 	sc.tlBound = e.tlBound
 	sc.trBound = e.trBound
@@ -510,12 +503,12 @@ func insertSched(sch []dram.Scheduled, k int, ent dram.Scheduled) []dram.Schedul
 }
 
 // advanceSM runs one SM through [from, to], mirroring the serial loop's
-// per-SM section cycle for cycle: enqueue scheduled responses that come due,
-// deliver queued responses, hand them to the SM, done check, cached-wakeup
-// bulk skip (capped so no delivery or enqueue cycle is jumped over),
-// otherwise Tick — and after each Tick, mirror any of the SM's own requests
-// that will merge into frozen fills popping inside the window (see the
-// package comment). Interval boundaries are snapshotted as they are
+// per-SM section cycle for cycle: set the local tracer's clock (traced
+// runs), enqueue scheduled responses that come due, deliver queued
+// responses, hand them to the SM, done check, cached-wakeup bulk skip
+// (capped so no delivery or enqueue cycle is jumped over), otherwise Tick —
+// and after each Tick, mirror any of the SM's own requests that will merge
+// into frozen fills popping inside the window (see the package comment). Interval boundaries are snapshotted as they are
 // crossed. Everything touched here is per-SM state — the SM, its stats, its
 // lane, its NoC slot, its local tracer, its snapshot rows — which is the
 // whole reason the epoch can fan out.
@@ -523,6 +516,7 @@ func (e *parallelEngine) advanceSM(i int, from, to int64) {
 	g := e.g
 	sm := g.sms[i]
 	ln := &g.lanes[i].smLaneState
+	lt := ln.port.tr
 	ti, si := 0, 0
 	c := from
 	// nd is a conservative-early bound on the SM's next possible delivery
@@ -530,13 +524,13 @@ func (e *parallelEngine) advanceSM(i int, from, to int64) {
 	// a subset of the cycles the serial loop banks at — equivalent, because
 	// banking accrues by elapsed cycles (see noc.bankCredit).
 	nd := from
-	if !e.deliver {
-		nd = to + 1
-	}
 	sch := ln.sched
 	k := 0  // schedule cursor: entries before k have been enqueued
 	ri := 0 // mirror cursor into the SM's buffered requests
 	for c <= to {
+		if lt != nil {
+			lt.Advance(c)
+		}
 		if k < len(sch) && sch[k].EnqueueCycle <= c {
 			// The serial loop's memSys.Tick(c) enqueues these before the
 			// cycle's deliveries; pulling them now and re-arming the delivery
@@ -589,39 +583,30 @@ func (e *parallelEngine) advanceSM(i int, from, to int64) {
 			if k < len(sch) && sch[k].EnqueueCycle-1 < end {
 				end = sch[k].EnqueueCycle - 1
 			}
-			if e.traced {
-				g.parTr[i].Advance(c)
-			}
 			sm.SkipIdle(c, end)
 			ti = e.snapTimeline(i, ti, end)
 			si = e.snapTrace(i, si, end)
 			c = end + 1
 			continue
 		}
-		if e.traced {
-			g.parTr[i].Advance(c)
-		}
 		g.tickSM(i, c)
-		if e.deliver {
-			// Mirror merges: a request issued this cycle to a line whose
-			// frozen fill pops at t in (c, to] will merge into it at the
-			// barrier replay, and the serial loop would enqueue its response
-			// at t. Insert it at its canonical schedule position. (Stores
-			// never respond; see the package comment for why the frozen map
-			// is exact during the window.)
-			reqs := ln.port.reqs
-			for ; ri < len(reqs); ri++ {
-				br := &reqs[ri]
-				if br.req.Kind == arch.AccessStore {
-					continue
-				}
-				if t, seq, ok := g.memSys.FillFor(br.req.Line); ok && t > c && t <= to {
-					sch = insertSched(sch, k, dram.Scheduled{
-						EnqueueCycle: t,
-						Seq:          seq,
-						Resp:         dram.Response{Req: br.req, ReadyCycle: t + e.retLeg},
-					})
-				}
+		// Mirror merges: a request issued this cycle to a line whose frozen
+		// fill pops at t in (c, to] will merge into it at the barrier replay,
+		// and the serial loop would enqueue its response at t. Insert it at
+		// its canonical schedule position. (Stores never respond; see the
+		// package comment for why the frozen map is exact during the window.)
+		reqs := ln.port.reqs
+		for ; ri < len(reqs); ri++ {
+			br := &reqs[ri]
+			if br.req.Kind == arch.AccessStore {
+				continue
+			}
+			if t, seq, ok := g.memSys.FillFor(br.req.Line); ok && t > c && t <= to {
+				sch = insertSched(sch, k, dram.Scheduled{
+					EnqueueCycle: t,
+					Seq:          seq,
+					Resp:         dram.Response{Req: br.req, ReadyCycle: t + e.retLeg},
+				})
 			}
 		}
 		ti = e.snapTimeline(i, ti, c)
@@ -663,23 +648,14 @@ func (e *parallelEngine) snapTrace(i, idx int, upTo int64) int {
 }
 
 // epochEnd returns the last cycle of the longest valid epoch starting at
-// cycle+1 (see the package comment for the bounds in each mode).
+// cycle+1 (see the package comment for the bounds).
 func (e *parallelEngine) epochEnd(cycle, maxCycles int64) int64 {
 	g := e.g
 	end := cycle + e.minLat
-	if e.deliver {
-		// Fills may pop inside the window; only epoch-start pending retries
-		// force the stricter stop-before-first-fill bound (package comment).
-		if g.memSys.PendingRetries() {
-			if t := g.memSys.NextFillCycle(); t >= 0 && t-1 < end {
-				end = t - 1
-			}
-		}
-	} else {
-		if t := g.memSys.NextResponseCycle(); t >= 0 && t-1 < end {
-			end = t - 1
-		}
-		if t := g.net.NextDeliveryCycle(cycle); t >= 0 && t-1 < end {
+	// Fills may pop inside the window; only epoch-start pending retries force
+	// the stricter stop-before-first-fill bound (package comment).
+	if g.memSys.PendingRetries() {
+		if t := g.memSys.NextFillCycle(); t >= 0 && t-1 < end {
 			end = t - 1
 		}
 	}
@@ -715,15 +691,13 @@ func (e *parallelEngine) prepareEpoch(from, to int64) {
 		lanes[i].lastDeliv = -1
 		lanes[i].sched = lanes[i].sched[:0]
 	}
-	if e.deliver {
-		// Build each SM's response schedule from the frozen event ring:
-		// every response an in-window event pop will produce, in (pop cycle,
-		// event seq, waiter index) order — per-SM lists stay sorted because
-		// the lookahead emits in that global order.
-		for _, s := range e.g.memSys.PeekWindowResponses(to) {
-			ln := &lanes[s.Resp.Req.SM]
-			ln.sched = append(ln.sched, s)
-		}
+	// Build each SM's response schedule from the frozen event ring: every
+	// response an in-window event pop will produce, in (pop cycle, event seq,
+	// waiter index) order — per-SM lists stay sorted because the lookahead
+	// emits in that global order.
+	for _, s := range e.g.memSys.PeekWindowResponses(to) {
+		ln := &lanes[s.Resp.Req.SM]
+		ln.sched = append(ln.sched, s)
 	}
 	e.tlBound = appendBounds(e.tlBound[:0], from, to, e.g.timelineInterval)
 	var trIv int64
@@ -753,12 +727,7 @@ func (e *parallelEngine) runEpoch(from, to int64) (int64, bool) {
 	e.lap(&e.prof.AdvanceNS)
 	e.awaitWorkers(spin)
 	e.lap(&e.prof.BarrierWaitNS)
-	var lastAct int64
-	if e.traced {
-		lastAct = e.drainEpochTraced(from, to)
-	} else {
-		lastAct = e.drainEpochPlain(from, to)
-	}
+	lastAct := e.drainEpoch(from, to)
 	allDone := true
 	maxDone := from
 	for i := range g.lanes {
@@ -817,35 +786,33 @@ func (e *parallelEngine) spinBudget() time.Duration {
 	return min(spinFactor*serial, maxSpin)
 }
 
-// drainEpochPlain replays the epoch's buffered injections into the memory
-// system in canonical order, interleaved with the memory system's own due
-// cycles, without tracing. Responses are NOT enqueued: every response an
-// in-window Tick can produce was already enqueued worker-side at its exact
-// serial cycle (scheduled at epoch start or mirrored by the issuing
-// worker), and events created by the replay itself pop after the window —
-// so these Ticks exist to evolve stats, retries, MSHR/DRAM-slot state, and
-// event sequencing, bit-identically to serial. Returns the last cycle the
-// memory system did work at (-1 if none) for the termination-cycle
-// computation.
-func (e *parallelEngine) drainEpochPlain(from, to int64) int64 {
+// drainEpoch is the epoch's barrier: it replays the buffered injections in
+// canonical order, interleaved with the memory system's own due cycles, and
+// returns the last cycle the memory system did work at (-1 if none). It
+// enqueues nothing: every response an in-window Tick produces was already
+// enqueued worker-side (scheduled at epoch start or mirrored by its issuing
+// worker), and events the replay creates pop after the window, so these
+// Ticks only evolve stats, retries, MSHR/DRAM-slot state and event
+// sequencing, bit-identically to serial. Untraced, the replay jumps between
+// cycles with work; traced, it walks every cycle, splicing each into the
+// shared stream and gathering the interval sample due at it.
+func (e *parallelEngine) drainEpoch(from, to int64) int64 {
 	g := e.g
+	e.beginMerge()
 	lastAct := int64(-1)
-	for i := range e.ri {
-		e.ri[i] = 0
-	}
-	c := from - 1
-	for {
-		// Next interesting cycle: the memory system's next due work or the
-		// earliest still-buffered request.
-		next := int64(-1)
-		if t := g.memSys.NextEventCycle(c); t >= 0 {
-			next = t
-		}
-		for i := range g.lanes {
-			p := &g.lanes[i].port
-			if e.ri[i] < len(p.reqs) {
-				if rc := p.reqs[e.ri[i]].cycle; next < 0 || rc < next {
-					next = rc
+	bi := 0
+	for c := from - 1; ; {
+		next := c + 1
+		if !e.traced {
+			// The memory system's next due work or the earliest
+			// still-buffered request.
+			next = g.memSys.NextEventCycle(c)
+			for i := range g.lanes {
+				p := &g.lanes[i].port
+				if e.ri[i] < len(p.reqs) {
+					if rc := p.reqs[e.ri[i]].cycle; next < 0 || rc < next {
+						next = rc
+					}
 				}
 			}
 		}
@@ -853,64 +820,25 @@ func (e *parallelEngine) drainEpochPlain(from, to int64) int64 {
 			break
 		}
 		c = next
+		if e.traced {
+			g.tr.Advance(c)
+		}
+		var resp []dram.Response
 		if t := g.memSys.NextEventCycle(c - 1); t >= 0 && t <= c {
 			lastAct = c
-			g.memSys.Tick(c)
+			resp = g.memSys.Tick(c)
 		}
-		for i := range g.lanes {
-			p := &g.lanes[i].port
-			for e.ri[i] < len(p.reqs) && p.reqs[e.ri[i]].cycle == c {
-				g.memSys.Request(p.reqs[e.ri[i]].req, c)
-				e.ri[i]++
-			}
-		}
-	}
-	for i := range g.lanes {
-		g.lanes[i].port.reqs = g.lanes[i].port.reqs[:0]
-	}
-	return lastAct
-}
-
-// drainEpochTraced is drainEpochPlain plus the trace merge: it walks the
-// epoch cycle by cycle, emits the memory system's shared-stream events at
-// their serial position, splices each SM's local events and injections in
-// (cycle, SM, stream-position) order, and gathers interval samples at
-// boundary cycles. Traced epochs deliver nothing in-window, so here — and
-// only here — the barrier does enqueue the responses Tick produces.
-func (e *parallelEngine) drainEpochTraced(from, to int64) int64 {
-	g := e.g
-	lastAct := int64(-1)
-	for i := range g.sms {
-		g.parTr[i].Flush()
-		e.hi[i] = 0
-		e.ri[i] = 0
-	}
-	bi := 0
-	for c := from; c <= to; c++ {
-		g.tr.Advance(c)
-		if t := g.memSys.NextEventCycle(c - 1); t >= 0 && t <= c {
-			lastAct = c
-			for _, r := range g.memSys.Tick(c) {
-				g.net.Enqueue(r)
-			}
-		}
-		for i := range g.sms {
-			evs := g.parSink[i].Events
-			p := &g.lanes[i].port
-			for {
-				eOK := e.hi[i] < len(evs) && evs[e.hi[i]].Cycle <= c
-				rOK := e.ri[i] < len(p.reqs) && p.reqs[e.ri[i]].cycle <= c
-				if rOK && (!eOK || p.reqs[e.ri[i]].pos <= int64(e.hi[i])) {
-					g.memSys.Request(p.reqs[e.ri[i]].req, p.reqs[e.ri[i]].cycle)
+		if !e.traced {
+			for i := range g.lanes {
+				p := &g.lanes[i].port
+				for e.ri[i] < len(p.reqs) && p.reqs[e.ri[i]].cycle == c {
+					g.memSys.Request(p.reqs[e.ri[i]].req, c)
 					e.ri[i]++
-				} else if eOK {
-					g.tr.EmitStamped(evs[e.hi[i]])
-					e.hi[i]++
-				} else {
-					break
 				}
 			}
+			continue
 		}
+		e.splice(c, resp)
 		if bi < len(e.trBound) && e.trBound[bi] == c {
 			var gg trace.Gauges
 			for i := range e.trSnap {
@@ -926,13 +854,67 @@ func (e *parallelEngine) drainEpochTraced(from, to int64) int64 {
 			bi++
 		}
 	}
-	for i := range g.sms {
-		g.parSink[i].Events = g.parSink[i].Events[:0]
+	e.endMerge()
+	return lastAct
+}
+
+// beginMerge rewinds the barrier's per-SM cursors and, when tracing, flushes
+// every local tracer so its sink holds the SM's whole unmerged stream.
+func (e *parallelEngine) beginMerge() {
+	for i := range e.ri {
+		e.ri[i], e.hi[i] = 0, 0
+		if e.traced {
+			e.g.parTr[i].Flush()
+		}
+	}
+}
+
+// endMerge empties what the barrier has merged: every request buffer and,
+// when tracing, every local stream, whose request positions restart at zero.
+func (e *parallelEngine) endMerge() {
+	g := e.g
+	for i := range g.lanes {
 		p := &g.lanes[i].port
 		p.reqs = p.reqs[:0]
-		p.base = g.parTr[i].Emitted()
+		if e.traced {
+			g.parSink[i].Events = g.parSink[i].Events[:0]
+			p.base = p.tr.Emitted()
+		}
 	}
-	return lastAct
+}
+
+// splice merges traced cycle c into the shared stream once memSys.Tick(c)
+// has emitted the shared side's events and returned resp (nil when nothing
+// was due). The serial loop next emits one KindNoCInject per response, in
+// resp's order: each heads its SM's unmerged local stream, where it was
+// emitted at the top of cycle c. Then, SM by SM, the SM's other events up to
+// c are moved across and its requests replayed, each request after exactly
+// the events the SM had emitted when it issued it.
+func (e *parallelEngine) splice(c int64, resp []dram.Response) {
+	g := e.g
+	for _, r := range resp {
+		i := r.Req.SM
+		g.tr.EmitStamped(g.parSink[i].Events[e.hi[i]])
+		e.hi[i]++
+	}
+	for i := range g.lanes {
+		evs, reqs := g.parSink[i].Events, g.lanes[i].port.reqs
+		hi, ri := e.hi[i], e.ri[i]
+		for {
+			eOK := hi < len(evs) && evs[hi].Cycle <= c
+			rOK := ri < len(reqs) && reqs[ri].cycle <= c
+			if rOK && (!eOK || reqs[ri].pos <= int64(hi)) {
+				g.memSys.Request(reqs[ri].req, reqs[ri].cycle)
+				ri++
+			} else if eOK {
+				g.tr.EmitStamped(evs[hi])
+				hi++
+			} else {
+				break
+			}
+		}
+		e.hi[i], e.ri[i] = hi, ri
+	}
 }
 
 // emitSamples publishes the epoch's timeline points and interval samples up
@@ -957,76 +939,24 @@ func (e *parallelEngine) emitSamples(end int64) {
 	}
 }
 
-// drainStep is the serial step's barrier: replay the single cycle's
-// buffered injections (and, when tracing, splice the cycle's local events
-// into the shared stream around them).
-func (e *parallelEngine) drainStep() {
-	g := e.g
-	if !e.traced {
-		for i := range g.lanes {
-			p := &g.lanes[i].port
-			for _, br := range p.reqs {
-				g.memSys.Request(br.req, br.cycle)
-			}
-			p.reqs = p.reqs[:0]
-		}
-		return
-	}
-	for i := range g.sms {
-		lt := g.parTr[i]
-		lt.Flush()
-		evs := g.parSink[i].Events
-		p := &g.lanes[i].port
-		hi, ri := 0, 0
-		for hi < len(evs) || ri < len(p.reqs) {
-			if ri < len(p.reqs) && (hi >= len(evs) || p.reqs[ri].pos <= int64(hi)) {
-				g.memSys.Request(p.reqs[ri].req, p.reqs[ri].cycle)
-				ri++
-			} else {
-				g.tr.EmitStamped(evs[hi])
-				hi++
+// drainStep is the barrier of one serial step at cycle c, whose
+// memSys.Tick returned resp, and of a gap skipped from cycle c on (resp
+// nil). It replays the step's buffered injections and, when tracing, merges
+// the cycle into the shared stream. A skip's stall events are all stamped
+// with the gap's first cycle, so merging them SM by SM at that one cycle is
+// their serial (cycle, SM) order.
+func (e *parallelEngine) drainStep(c int64, resp []dram.Response) {
+	if e.traced {
+		e.beginMerge()
+		e.splice(c, resp)
+	} else {
+		for i := range e.g.lanes {
+			for _, br := range e.g.lanes[i].port.reqs {
+				e.g.memSys.Request(br.req, br.cycle)
 			}
 		}
-		g.parSink[i].Events = evs[:0]
-		p.reqs = p.reqs[:0]
-		p.base = lt.Emitted()
 	}
-}
-
-// mergeStrays merges any events sitting in the local tracers into the
-// shared stream in (cycle, SM) order. skipTo calls it right after bulk
-// SkipIdle so stall-transition events stamped inside the gap reach the
-// shared stream before any later cycle emits.
-func (e *parallelEngine) mergeStrays() {
-	g := e.g
-	for i := range g.sms {
-		g.parTr[i].Flush()
-		e.hi[i] = 0
-	}
-	for {
-		best := -1
-		var bestC int64
-		for i := range g.sms {
-			evs := g.parSink[i].Events
-			if e.hi[i] < len(evs) {
-				if c := evs[e.hi[i]].Cycle; best < 0 || c < bestC {
-					best, bestC = i, c
-				}
-			}
-		}
-		if best < 0 {
-			break
-		}
-		evs := g.parSink[best].Events
-		for e.hi[best] < len(evs) && evs[e.hi[best]].Cycle == bestC {
-			g.tr.EmitStamped(evs[e.hi[best]])
-			e.hi[best]++
-		}
-	}
-	for i := range g.sms {
-		g.parSink[i].Events = g.parSink[i].Events[:0]
-		g.lanes[i].port.base = g.parTr[i].Emitted()
-	}
+	e.endMerge()
 }
 
 // runParallel is RunContext's parallel twin: chained worker-fanned epochs
@@ -1081,7 +1011,10 @@ func (g *GPU) runParallel(ctx context.Context, kernName string) (Result, error) 
 					lt.Advance(cycle)
 				}
 			}
-			for _, r := range g.memSys.Tick(cycle) {
+			// enqueued stays valid until the next Tick: in parallel mode
+			// nothing else touches the memory system before drainStep.
+			enqueued := g.memSys.Tick(cycle)
+			for _, r := range enqueued {
 				g.net.Enqueue(r)
 			}
 			allDone := true
@@ -1100,7 +1033,7 @@ func (g *GPU) runParallel(ctx context.Context, kernName string) (Result, error) 
 				}
 				g.tickSM(i, cycle)
 			}
-			e.drainStep()
+			e.drainStep(cycle, enqueued)
 			if g.timelineInterval > 0 && cycle%g.timelineInterval == 0 {
 				g.sampleTimeline(cycle)
 			}

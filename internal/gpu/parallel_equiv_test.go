@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"apres/internal/stats"
 	"apres/internal/workloads"
 	"apres/internal/workspec"
 )
@@ -54,8 +55,22 @@ func parallelEquivalenceMatrix(t *testing.T, workers []int) {
 			requireSameRun(t, fmt.Sprintf("par%d", n), serial, par)
 			parTr := runEquivCell(t, c, true, WithParallelSMs(n))
 			requireSameRun(t, fmt.Sprintf("par%d+trace", n), serialTr, parTr)
+			requireSameRegime(t, fmt.Sprintf("par%d", n), par.Res.EngineStats, parTr.Res.EngineStats)
 		}
 	})
+}
+
+// requireSameRegime asserts that a traced parallel run planned, fanned out
+// and skipped exactly what its untraced twin did: observing a run must not
+// change which code runs.
+func requireSameRegime(t *testing.T, label string, untraced, traced stats.EngineStats) {
+	t.Helper()
+	if untraced.Epochs != traced.Epochs || untraced.EpochCycles != traced.EpochCycles ||
+		untraced.SkippedCycles != traced.SkippedCycles {
+		t.Fatalf("%s: tracing changed the epochs: traced %d epochs / %d epoch cycles / %d skipped, untraced %d / %d / %d",
+			label, traced.Epochs, traced.EpochCycles, traced.SkippedCycles,
+			untraced.Epochs, untraced.EpochCycles, untraced.SkippedCycles)
+	}
 }
 
 // TestParallelNoSkipEquivalence crosses the parallel engine with the
@@ -105,6 +120,7 @@ func TestFillStormParallelEquivalence(t *testing.T) {
 				requireSameRun(t, fmt.Sprintf("par%d", n), serial, par)
 				parTr := runEquivCell(t, c, true, WithParallelSMs(n))
 				requireSameRun(t, fmt.Sprintf("par%d+trace", n), serialTr, parTr)
+				requireSameRegime(t, fmt.Sprintf("par%d", n), par.Res.EngineStats, parTr.Res.EngineStats)
 			}
 		})
 	}

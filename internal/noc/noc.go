@@ -68,13 +68,22 @@ type Network struct {
 // SetTracer attaches the trace sink; nil disables tracing (the default).
 func (n *Network) SetTracer(tr *trace.Tracer) { n.tr = tr }
 
-// SetSMTracers overrides the tracer used for delivery events: when set,
-// Deliver emits KindNoCDeliver for SM i into smTr[i] instead of the shared
-// tracer. The parallel engine uses this to keep delivery events inside each
-// SM's local stream so its barrier merge reproduces the serial event order;
-// injection events stay on the shared tracer, where they already occur at
-// their serial position.
+// SetSMTracers overrides the tracer used for per-SM events: when set,
+// Enqueue emits KindNoCInject for a response to SM i, and Deliver emits
+// KindNoCDeliver for SM i, into smTr[i] instead of the shared tracer. The
+// parallel engine's workers enqueue and deliver inside epochs, so both kinds
+// land in each SM's local stream, stamped by the worker's clock and carrying
+// the queue depth the worker saw; the barrier merge splices them into the
+// shared stream in serial order.
 func (n *Network) SetSMTracers(smTr []*trace.Tracer) { n.smTr = smTr }
+
+// tracerFor returns the tracer that receives SM sm's events.
+func (n *Network) tracerFor(sm int) *trace.Tracer {
+	if n.smTr != nil {
+		return n.smTr[sm]
+	}
+	return n.tr
+}
 
 // New builds a network for numSMs SMs with the given per-SM response
 // bandwidth in bytes per cycle.
@@ -93,12 +102,10 @@ func New(numSMs, bytesPerCycle int, st *stats.Stats) *Network {
 // Enqueue routes a completed response toward its SM.
 //
 // Concurrency contract: Enqueue touches only the queue indexed by the
-// response's destination SM (plus the shared tracer, when one is attached).
-// In untraced parallel epochs each worker enqueues its own SM's scheduled
-// responses at their serial enqueue cycles, which is safe because workers
-// own disjoint SMs and the tracer is nil; traced runs keep Enqueue
-// single-threaded (serial steps and epoch barriers only) so the shared
-// KindNoCInject stream retains its exact serial order.
+// response's destination SM and that SM's tracer (see SetSMTracers). In
+// parallel epochs each worker enqueues its own SM's scheduled responses at
+// their serial enqueue cycles, which is safe because workers own disjoint
+// SMs and, in parallel mode, every SM has its own tracer.
 func (n *Network) Enqueue(r dram.Response) {
 	q := &n.sms[r.Req.SM].q
 	if q.head > 0 && len(q.buf) == cap(q.buf) {
@@ -109,8 +116,8 @@ func (n *Network) Enqueue(r dram.Response) {
 		q.head = 0
 	}
 	q.buf = append(q.buf, r)
-	if n.tr != nil {
-		n.tr.Emit(trace.Event{Kind: trace.KindNoCInject, Unit: int32(r.Req.SM),
+	if tr := n.tracerFor(r.Req.SM); tr != nil {
+		tr.Emit(trace.Event{Kind: trace.KindNoCInject, Unit: int32(r.Req.SM),
 			Warp: int32(r.Req.Warp), PC: uint32(r.Req.PC), Line: uint64(r.Req.Line),
 			Arg: int64(len(q.buf) - q.head)})
 	}
@@ -146,9 +153,9 @@ func (n *Network) bankCredit(s *smState, cycle int64) {
 //
 // Concurrency contract: Deliver (and NextDeliveryCycleSM) touch only sm's
 // own smSlot and per-SM tracer, so calls for distinct SMs may run on
-// distinct goroutines, as the
-// parallel engine's workers do inside an epoch. Enqueue and the remaining
-// methods stay single-threaded (serial steps and epoch barriers).
+// distinct goroutines, as the parallel engine's workers do inside an epoch.
+// Apart from Enqueue, the remaining methods stay single-threaded (serial
+// steps and epoch barriers).
 func (n *Network) Deliver(sm int, cycle int64) []dram.Response {
 	s := &n.sms[sm].smState
 	n.bankCredit(s, cycle)
@@ -164,11 +171,7 @@ func (n *Network) Deliver(sm int, cycle int64) []dram.Response {
 	}
 	q.head += delivered
 	if delivered > 0 {
-		tr := n.tr
-		if n.smTr != nil {
-			tr = n.smTr[sm]
-		}
-		if tr != nil {
+		if tr := n.tracerFor(sm); tr != nil {
 			tr.Emit(trace.Event{Kind: trace.KindNoCDeliver, Unit: int32(sm),
 				Arg: int64(delivered)})
 		}
