@@ -160,12 +160,10 @@ func main() {
 	}
 
 	srv := server.New(server.Options{
-		Runner:           r,
-		SimTimeout:       *timeout,
-		TraceDir:         *traceDir,
-		DefaultEngine:    shared.Engine,
-		DefaultTolerance: shared.Tolerance,
-		ShedWatermark:    *shedMark,
+		Runner:        r,
+		SimTimeout:    *timeout,
+		TraceDir:      *traceDir,
+		ShedWatermark: *shedMark,
 	})
 
 	log.Printf("apresd %s listening on %s (scale=%g sms=%d jobs=%d smjobs=%d timeout=%v shed-watermark=%d)",

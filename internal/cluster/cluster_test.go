@@ -460,6 +460,75 @@ func TestCoordinatorSimulateProxy(t *testing.T) {
 	}
 }
 
+// TestCoordinatorSweepRejectsWhatAWorkerRejects: a sweep a worker answers
+// 400 gets the same 400 from a coordinator, before any cell is dispatched —
+// both validate through server.SweepRequest.Cells.
+func TestCoordinatorSweepRejectsWhatAWorkerRejects(t *testing.T) {
+	w, _ := newWorker(t, "")
+	coord, err := New(testOptions(w.URL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := httptest.NewServer(NewServer(coord))
+	defer cs.Close()
+
+	post := func(url, body string) (int, []byte) {
+		resp, err := http.Post(url+"/v1/sweep", "application/json", bytes.NewReader([]byte(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode, data
+	}
+	for _, body := range []string{
+		`{"workloads":["BFS"],"configs":["base"],"engine":"warp"}`,
+		`{"workloads":["BFS"],"configs":["base"],"engine":"auto","tolerance":-1}`,
+		`{"workloads":["BFS"],"configs":["base"],"engine":"twin","loadStats":true}`,
+	} {
+		ws, wdata := post(w.URL, body)
+		cst, cdata := post(cs.URL, body)
+		if ws != http.StatusBadRequest || cst != http.StatusBadRequest {
+			t.Errorf("%s: worker %d, coordinator %d (%s), want 400 from both", body, ws, cst, cdata)
+		}
+		if !bytes.Equal(wdata, cdata) {
+			t.Errorf("%s: worker says %s, coordinator %s", body, wdata, cdata)
+		}
+	}
+	for _, n := range coord.Status().Nodes {
+		if n.Dispatched != 0 {
+			t.Errorf("node %s was dispatched %d cells of rejected sweeps", n.URL, n.Dispatched)
+		}
+	}
+}
+
+// TestCoordinatorSimulateWorkerFailureIs502: a worker failure that
+// exhausts the dispatch attempts is a gateway error, never a 400 — only
+// request validation answers 400.
+func TestCoordinatorSimulateWorkerFailureIs502(t *testing.T) {
+	broken := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		server.WriteError(w, http.StatusInternalServerError, "worker broke")
+	}))
+	defer broken.Close()
+	opts := testOptions(broken.URL)
+	opts.MaxAttempts = 1
+	coord, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := httptest.NewServer(NewServer(coord))
+	defer cs.Close()
+	resp, err := http.Post(cs.URL+"/v1/simulate", "application/json", bytes.NewReader([]byte(`{"workload":"KM"}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("worker 500 via coordinator: %d (%s), want 502", resp.StatusCode, data)
+	}
+}
+
 func TestJoinStatusAndHealthz(t *testing.T) {
 	shared := t.TempDir()
 	w1, _ := newWorker(t, shared)

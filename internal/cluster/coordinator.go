@@ -359,12 +359,12 @@ func (c *Coordinator) Sweep(ctx context.Context, req *server.SweepRequest) (*ser
 	t0 := time.Now()
 	out := make([]server.SweepCell, len(cells))
 	var wg sync.WaitGroup
-	for i, cell := range cells {
+	for i := range cells {
 		wg.Add(1)
-		go func(i int, cell server.Cell) {
+		go func(i int) {
 			defer wg.Done()
-			out[i] = c.runCell(ctx, req, cell)
-		}(i, cell)
+			out[i] = c.runCell(ctx, req, cells[i])
+		}(i)
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
@@ -486,11 +486,12 @@ func retryAfterHeader(h http.Header) time.Duration {
 
 // Simulate routes one /v1/simulate request to the node that owns its cell
 // and forwards the worker's response verbatim (status and body), with the
-// same retry/rebalance machinery as sweep cells.
+// same retry/rebalance machinery as sweep cells. A request that fails
+// validation returns status 400 with its error, before any node is asked.
 func (c *Coordinator) Simulate(ctx context.Context, req *server.SimulateRequest) (int, []byte, error) {
 	key, err := req.CellID()
 	if err != nil {
-		return 0, nil, err
+		return http.StatusBadRequest, nil, err
 	}
 	body, err := json.Marshal(req)
 	if err != nil {

@@ -75,7 +75,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case errors.Is(err, ErrNoNodes):
 		server.WriteError(w, http.StatusServiceUnavailable, "%v", err)
-	case err != nil && status == 0 && body == nil && isValidationError(err):
+	case err != nil && status == http.StatusBadRequest:
 		server.WriteError(w, http.StatusBadRequest, "%v", err)
 	case err != nil:
 		server.WriteError(w, http.StatusBadGateway, "cluster dispatch failed: %v", err)
@@ -87,16 +87,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(status)
 		_, _ = w.Write(body)
 	}
-}
-
-// isValidationError reports whether err came from local request
-// validation (CellID resolution) rather than dispatch. Validation runs
-// before any node is contacted, so it is exactly the error path where
-// status and body are still zero and no transport was involved.
-func isValidationError(err error) bool {
-	return !errors.Is(err, ErrNoNodes) &&
-		!errors.Is(err, context.Canceled) &&
-		!errors.Is(err, context.DeadlineExceeded)
 }
 
 // joinRequest is the POST /v1/cluster/join body.

@@ -91,7 +91,7 @@ func (r *Runner) TwinSpeedups(app, cfgName string) (map[string]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.Twin().Speedups(r.twinID(c.id), w, c.cfg)
+	return r.Twin().Speedups(r.twinID(c.cell.Workload), w, c.Inline)
 }
 
 // TwinDRAMPoint is one point of an analytically predicted DRAM-bandwidth
@@ -115,19 +115,19 @@ func (r *Runner) TwinDRAMBandwidth(app, cfgName string, intervals []int) ([]Twin
 	if len(intervals) == 0 {
 		return nil, fmt.Errorf("harness: no DRAM service intervals given")
 	}
-	cell, err := r.resolve(Request{Workload: app, Config: cfgName})
+	j, err := r.resolve(Request{Workload: app, Config: cfgName})
 	if err != nil {
 		return nil, err
 	}
-	w, err := r.workload(&cell)
+	w, err := r.workload(&j)
 	if err != nil {
 		return nil, err
 	}
-	m, id := r.Twin(), r.twinID(cell.id)
+	m, id := r.Twin(), r.twinID(j.cell.Workload)
 	out := make([]TwinDRAMPoint, 0, len(intervals))
 	var firstCycles int64
 	for _, v := range intervals {
-		c := cell.cfg
+		c := j.Inline
 		c.DRAMServiceInterval = v
 		if err := c.Validate(); err != nil {
 			return nil, fmt.Errorf("harness: DRAM interval %d: %w", v, err)
@@ -154,7 +154,7 @@ func (r *Runner) TwinDRAMBandwidth(app, cfgName string, intervals []int) ([]Twin
 // otherwise the model predicts and the tagged result is persisted. Twin
 // queries never take a worker-pool slot and never enter the exact memo
 // cache — a prediction is microseconds, and the memo must stay exact-only.
-func (r *Runner) twinServe(c *cell) (Outcome, error) {
+func (r *Runner) twinServe(c *job) (Outcome, error) {
 	out := Outcome{Engine: EngineTwin, Key: r.address(c)}
 	if out.Key != "" {
 		if e, ok := r.Store.Get(out.Key); ok {
@@ -172,7 +172,7 @@ func (r *Runner) twinServe(c *cell) (Outcome, error) {
 	if err != nil {
 		return Outcome{}, err
 	}
-	p, err := r.Twin().Predict(r.twinID(c.id), w, c.cfg)
+	p, err := r.Twin().Predict(r.twinID(c.cell.Workload), w, c.Inline)
 	if err != nil {
 		return Outcome{}, err
 	}

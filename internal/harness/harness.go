@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -77,14 +78,6 @@ func NamedConfig(name string) (config.Config, error) {
 	return c, nil
 }
 
-// runKey identifies one exact run in the memo and singleflight maps: the
-// workload identity, the configuration (by name or by content digest) and
-// the load-stats flag.
-type runKey struct {
-	app, cfg  string
-	loadStats bool
-}
-
 // memoEntry is one memoised exact result with its store address, so a memo
 // hit reports the address without hashing the run again.
 type memoEntry struct {
@@ -133,8 +126,8 @@ type Runner struct {
 	EngineTolerance float64
 
 	mu       sync.Mutex
-	cache    map[runKey]memoEntry
-	inflight map[runKey]*inflightRun
+	cache    map[Cell]memoEntry
+	inflight map[Cell]*inflightRun
 	sem      chan struct{}
 	stats    RunStats
 	waiting  atomic.Int64
@@ -154,8 +147,8 @@ func NewRunner(scale float64, sms int) *Runner {
 	return &Runner{
 		Scale:    scale,
 		SMs:      sms,
-		cache:    make(map[runKey]memoEntry),
-		inflight: make(map[runKey]*inflightRun),
+		cache:    make(map[Cell]memoEntry),
+		inflight: make(map[Cell]*inflightRun),
 	}
 }
 
@@ -178,7 +171,8 @@ type Request struct {
 	Spec *workspec.Spec
 	// Config is a NamedConfig name.
 	Config string
-	// Inline is the full configuration of a request without a Config name.
+	// Inline is the full configuration of a request without a Config name;
+	// Resolve fills it in from a Config name.
 	Inline config.Config
 	// LoadStats collects per-PC load characterisation (Table I); it needs a
 	// real execution.
@@ -188,10 +182,92 @@ type Request struct {
 	// the singleflight map and the store are bypassed (the worker pool is
 	// not). The caller owns the tracer and closes it after the run.
 	Tracer *trace.Tracer
-	// EngineReq picks the engine; its zero value defers to
-	// Runner.EngineDefault and Runner.EngineTolerance.
+	// EngineReq picks the engine; an empty Engine defers to
+	// Runner.EngineDefault and a zero Tolerance to Runner.EngineTolerance.
 	EngineReq
 	RunOpts
+
+	// cell is the run's identity, as Resolve named it; zero until then.
+	cell Cell
+}
+
+// Cell is one run's identity, the memo and singleflight key, spelt as the
+// store spells it: Workload is a Table-IV name or "spec:<name>:<64 hex>"
+// (the spec's canonical digest), Config a NamedConfig name or
+// "cfg:<16 hex>" (an inline configuration's digest).
+type Cell struct {
+	Workload, Config string
+	LoadStats        bool
+}
+
+// Labels returns the short names responses, metrics and trace artifacts
+// use: a spec's digest cut to 12 hex digits and an inline configuration's
+// to 8.
+func (c Cell) Labels() (workload, config string) {
+	workload, config = c.Workload, c.Config
+	if strings.HasPrefix(workload, "spec:") && len(workload) > 64 {
+		workload = workload[:len(workload)-64+12]
+	}
+	if strings.HasPrefix(config, "cfg:") && len(config) > len("cfg:")+8 {
+		config = config[:len("cfg:")+8]
+	}
+	return workload, config
+}
+
+// String is the cell's placement key: its labels and the load-stats flag,
+// NUL-joined. Without scale and version in it, a coordinator routes repeats
+// of a cell onto the same node's warm memo and store across restarts.
+func (c Cell) String() string {
+	w, cfg := c.Labels()
+	return w + "\x00" + cfg + "\x00" + strconv.FormatBool(c.LoadStats)
+}
+
+// Cell returns the identity Resolve gave the Request; zero before Resolve.
+func (req Request) Cell() Cell { return req.cell }
+
+// ErrTwinNeedsRun answers a request that picks the twin engine explicitly
+// but needs a real execution.
+var ErrTwinNeedsRun = fmt.Errorf("harness: engine %q cannot collect load statistics or traces; use %q or %q", EngineTwin, EngineCycleAccurate, EngineAuto)
+
+// Resolve validates a Request's workload, configuration and engine choice
+// and names its Cell, digesting a spec or an inline configuration once. Do
+// resolves a Request that is not resolved yet and trusts one that is, so a
+// resolved Request's workload, configuration and LoadStats must not change.
+func Resolve(req Request) (Request, error) {
+	var c Cell
+	switch {
+	case req.Spec != nil:
+		c.Workload = "spec:" + req.Spec.Name + ":" + req.Spec.Digest()
+	case workloads.Known(req.Workload):
+		c.Workload = req.Workload
+	default:
+		return req, fmt.Errorf("harness: unknown workload %q", req.Workload)
+	}
+	cfg := req.Inline
+	if req.Config != "" {
+		var err error
+		if cfg, err = NamedConfig(req.Config); err != nil {
+			return req, err
+		}
+		c.Config = req.Config
+	} else {
+		if err := cfg.Validate(); err != nil {
+			return req, err
+		}
+		c.Config = "cfg:" + resultstore.ConfigDigest(cfg)
+	}
+	if _, err := ParseEngine(req.Engine); err != nil {
+		return req, err
+	}
+	if req.Tolerance < 0 {
+		return req, fmt.Errorf("harness: tolerance must be >= 0, got %g", req.Tolerance)
+	}
+	if req.Engine == EngineTwin && (req.LoadStats || req.Tracer != nil) {
+		return req, ErrTwinNeedsRun
+	}
+	c.LoadStats = req.LoadStats
+	req.cell, req.Inline = c, cfg
+	return req, nil
 }
 
 // Outcome is a Request's result plus its provenance.
@@ -232,31 +308,23 @@ func (r *Runner) RunEngineNamed(ctx context.Context, app, cfgName string, loadSt
 
 func result(out Outcome, err error) (gpu.Result, error) { return out.Result, err }
 
-// cell is a resolved Request: what runs, and the identities it runs under.
-type cell struct {
-	// id names the workload in the memo, the store and error messages
-	// ("KM", or a spec's content-addressed SpecID, digested once here);
-	// label names the configuration in error messages.
-	id, label string
-	memo      runKey
-	// spec is the declarative workload of a spec cell; nil when id is a
-	// Table-IV name.
-	spec *workspec.Spec
-	// cfg is the effective configuration.
-	cfg config.Config
-	// vstamp is the version stamp the cell's store entries carry; key is
-	// its store address once address has hashed it.
+// job is a resolved Request whose Inline configuration carries the
+// Runner's overrides: the configuration the simulator, the twin and the
+// store key see. vstamp is the version stamp its store entries carry; key
+// is its store address once address has hashed it.
+type job struct {
+	Request
 	vstamp, key string
 }
 
-// address returns the cell's content address in the store, hashing it on
+// address returns the job's content address in the store, hashing it on
 // first use (a memo hit never needs to). It covers the effective run, so
 // CLI and daemon processes with the same settings share entries; it is ""
 // without a store and under Adjust, whose effect cannot be
 // content-addressed.
-func (r *Runner) address(c *cell) string {
+func (r *Runner) address(c *job) string {
 	if c.key == "" && r.Store != nil && r.Adjust == nil {
-		c.key = resultstore.Key(c.id, r.Scale, c.memo.loadStats, c.cfg, c.vstamp)
+		c.key = resultstore.Key(c.cell.Workload, r.Scale, c.cell.LoadStats, c.Inline, c.vstamp)
 	}
 	return c.key
 }
@@ -265,15 +333,15 @@ func (r *Runner) address(c *cell) string {
 // constructed, or the spec compiled, then scaled by the Runner. Only a cell
 // that reaches the simulator or the twin's model pays for it; one answered
 // from the memo or the store never does.
-func (r *Runner) workload(c *cell) (workloads.Workload, error) {
+func (r *Runner) workload(c *job) (workloads.Workload, error) {
 	var w workloads.Workload
-	if c.spec != nil {
+	if c.Spec != nil {
 		var err error
-		if w, err = c.spec.Compile(); err != nil {
+		if w, err = c.Spec.Compile(); err != nil {
 			return w, err
 		}
 	} else {
-		w, _ = workloads.ByName(c.id) // resolve has vouched for the name
+		w, _ = workloads.ByName(c.Workload) // Resolve has vouched for the name
 	}
 	if r.Scale != 1 {
 		w.Kernel = w.Kernel.Scaled(r.Scale)
@@ -281,45 +349,31 @@ func (r *Runner) workload(c *cell) (workloads.Workload, error) {
 	return w, nil
 }
 
-// resolve validates a Request's workload and configuration and derives the
-// cell's identities and effective configuration: the SM-count override and
-// the Adjust hook (re-validated, because a hook can break a configuration)
-// are applied here, so the simulator, the twin and the store key all see
-// one configuration.
-func (r *Runner) resolve(req Request) (cell, error) {
-	c := cell{label: req.Config, cfg: req.Inline, vstamp: version.Stamp()}
-	if req.Config != "" {
+// resolve turns a Request into the job that answers it: Resolve, unless the
+// caller already did, then the SM-count override and the Adjust hook
+// (re-validated, because a hook can break a configuration), so the
+// simulator, the twin and the store key all see one configuration.
+func (r *Runner) resolve(req Request) (job, error) {
+	if req.cell == (Cell{}) {
 		var err error
-		if c.cfg, err = NamedConfig(req.Config); err != nil {
-			return cell{}, err
+		if req, err = Resolve(req); err != nil {
+			return job{}, err
 		}
-		c.memo.cfg = "name:" + req.Config
-	} else {
-		if err := c.cfg.Validate(); err != nil {
-			return cell{}, err
-		}
-		c.label = "cfg:" + resultstore.ConfigDigest(c.cfg)
-		c.memo.cfg = c.label
 	}
-	if req.Spec != nil {
+	c := job{Request: req, vstamp: version.Stamp()}
+	if c.Spec != nil {
 		// Spec entries fold the workspec schema+compiler version into
 		// their stamp, so a compilation change invalidates them without
 		// touching named-workload keys.
-		c.id, c.spec, c.vstamp = SpecID(req.Spec), req.Spec, c.vstamp+"+"+workspec.VersionTag()
-	} else {
-		if !workloads.Known(req.Workload) {
-			return cell{}, fmt.Errorf("harness: unknown workload %q", req.Workload)
-		}
-		c.id = req.Workload
+		c.vstamp += "+" + workspec.VersionTag()
 	}
-	c.memo.app, c.memo.loadStats = c.id, req.LoadStats
 	if r.SMs > 0 {
-		c.cfg.NumSMs = r.SMs
+		c.Inline.NumSMs = r.SMs
 	}
 	if r.Adjust != nil {
-		r.Adjust(&c.cfg)
-		if err := c.cfg.Validate(); err != nil {
-			return cell{}, err
+		r.Adjust(&c.Inline)
+		if err := c.Inline.Validate(); err != nil {
+			return job{}, err
 		}
 	}
 	return c, nil
@@ -339,17 +393,17 @@ func (r *Runner) Do(ctx context.Context, req Request) (Outcome, error) {
 	needsRun := req.LoadStats || req.Tracer != nil
 	eng, tol := req.Engine, req.Tolerance
 	if eng == "" {
-		eng, tol = r.EngineDefault, r.EngineTolerance
+		eng = r.EngineDefault
 		if eng == EngineTwin && needsRun {
 			// Erroring would make EngineDefault unusable for mixed suites.
 			eng = EngineCycleAccurate
 		}
 	}
+	if tol == 0 {
+		tol = r.EngineTolerance
+	}
 	if eng, err = ParseEngine(eng); err != nil {
 		return Outcome{}, err
-	}
-	if eng == EngineTwin && needsRun {
-		return Outcome{}, fmt.Errorf("harness: engine %q cannot collect load statistics or traces; use %q or %q", EngineTwin, EngineCycleAccurate, EngineAuto)
 	}
 	escalated := eng == EngineAuto && needsRun
 	if eng != EngineCycleAccurate && !needsRun {
@@ -377,7 +431,7 @@ func (r *Runner) Do(ctx context.Context, req Request) (Outcome, error) {
 	if escalated {
 		r.count(&r.stats.TwinEscalations)
 	}
-	out, err := r.exact(ctx, &c, req)
+	out, err := r.exact(ctx, &c)
 	out.Escalated = escalated
 	return out, err
 }
@@ -394,22 +448,22 @@ func (r *Runner) count(n *int64) {
 // request for the same run race, one simulates (with its own engine choice)
 // and the other joins it — legitimate only because both engines produce
 // bit-identical results.
-func (r *Runner) exact(ctx context.Context, c *cell, req Request) (Outcome, error) {
-	if req.Tracer != nil {
-		res, err := r.simulate(ctx, c, req)
+func (r *Runner) exact(ctx context.Context, c *job) (Outcome, error) {
+	if c.Tracer != nil {
+		res, err := r.simulate(ctx, c)
 		if err != nil {
-			return Outcome{}, fmt.Errorf("harness: %s (traced): %w", c.id, err)
+			return Outcome{}, fmt.Errorf("harness: %s (traced): %w", c.cell.Workload, err)
 		}
 		return Outcome{Result: res, Engine: EngineCycleAccurate}, nil
 	}
 	for {
 		r.mu.Lock()
-		if m, ok := r.cache[c.memo]; ok {
+		if m, ok := r.cache[c.cell]; ok {
 			r.stats.CacheHits++
 			r.mu.Unlock()
 			return Outcome{Result: m.res, Engine: EngineCycleAccurate, Key: m.key, Cached: true}, nil
 		}
-		fl, waiting := r.inflight[c.memo]
+		fl, waiting := r.inflight[c.cell]
 		if !waiting {
 			break // with r.mu held: this call becomes the leader
 		}
@@ -430,10 +484,10 @@ func (r *Runner) exact(ctx context.Context, c *cell, req Request) (Outcome, erro
 		}
 	}
 	fl := &inflightRun{done: make(chan struct{})}
-	r.inflight[c.memo] = fl
+	r.inflight[c.cell] = fl
 	r.mu.Unlock()
 
-	fl.out, fl.err = r.runOnce(ctx, c, req)
+	fl.out, fl.err = r.runOnce(ctx, c)
 
 	r.mu.Lock()
 	if fl.err == nil {
@@ -444,9 +498,9 @@ func (r *Runner) exact(ctx context.Context, c *cell, req Request) (Outcome, erro
 		// counters.
 		m := memoEntry{res: fl.out.Result, key: fl.out.Key}
 		m.res.EngineStats = stats.EngineStats{}
-		r.cache[c.memo] = m
+		r.cache[c.cell] = m
 	}
-	delete(r.inflight, c.memo)
+	delete(r.inflight, c.cell)
 	r.mu.Unlock()
 	close(fl.done)
 	return fl.out, fl.err
@@ -454,7 +508,7 @@ func (r *Runner) exact(ctx context.Context, c *cell, req Request) (Outcome, erro
 
 // runOnce performs the actual simulation of one cell, consulting the
 // persistent store first when the cell is addressable.
-func (r *Runner) runOnce(ctx context.Context, c *cell, req Request) (Outcome, error) {
+func (r *Runner) runOnce(ctx context.Context, c *job) (Outcome, error) {
 	out := Outcome{Engine: EngineCycleAccurate, Key: r.address(c)}
 	if out.Key != "" {
 		// Twin-tagged entries share keys with exact runs but are only
@@ -468,8 +522,8 @@ func (r *Runner) runOnce(ctx context.Context, c *cell, req Request) (Outcome, er
 		}
 	}
 	var err error
-	if out.Result, err = r.simulate(ctx, c, req); err != nil {
-		return Outcome{}, fmt.Errorf("harness: %s/%s: %w", c.id, c.label, err)
+	if out.Result, err = r.simulate(ctx, c); err != nil {
+		return Outcome{}, fmt.Errorf("harness: %s/%s: %w", c.cell.Workload, c.cell.Config, err)
 	}
 	// Stored entries carry the simulated result only: EngineStats is
 	// per-execution metadata (and sm_jobs never enters store keys), so
@@ -477,18 +531,18 @@ func (r *Runner) runOnce(ctx context.Context, c *cell, req Request) (Outcome, er
 	// persist byte-identical entries.
 	stored := out.Result
 	stored.EngineStats = stats.EngineStats{}
-	r.put(c, resultstore.Entry{LoadStats: req.LoadStats, Engine: twin.EngineCycleAccurate, Result: stored})
+	r.put(c, resultstore.Entry{LoadStats: c.LoadStats, Engine: twin.EngineCycleAccurate, Result: stored})
 	return out, nil
 }
 
 // put persists one addressable cell's entry. A persistence failure must not
 // fail the run; it is counted so metrics surface a sick store.
-func (r *Runner) put(c *cell, e resultstore.Entry) {
+func (r *Runner) put(c *job, e resultstore.Entry) {
 	key := r.address(c)
 	if key == "" {
 		return
 	}
-	e.Workload, e.Scale, e.Version = c.id, r.Scale, c.vstamp
+	e.Workload, e.Scale, e.Version = c.cell.Workload, r.Scale, c.vstamp
 	if err := r.Store.Put(key, e); err != nil {
 		r.count(&r.stats.StoreErrors)
 	}

@@ -111,7 +111,7 @@ func (r *Runner) PoolGauges() (capacity, busy, waiting int) {
 // (figure over series over apps) never oversubscribe the machine. The
 // request's SMJobs overrides the Runner-wide one when nonzero; whichever
 // wins, it only selects the engine, never the result.
-func (r *Runner) simulate(ctx context.Context, c *cell, req Request) (gpu.Result, error) {
+func (r *Runner) simulate(ctx context.Context, c *job) (gpu.Result, error) {
 	w, err := r.workload(c)
 	if err != nil {
 		return gpu.Result{}, err
@@ -123,20 +123,20 @@ func (r *Runner) simulate(ctx context.Context, c *cell, req Request) (gpu.Result
 	defer release()
 	r.count(&r.stats.Simulations)
 	var opts []gpu.Option
-	if req.Tracer != nil {
-		opts = append(opts, gpu.WithTrace(req.Tracer))
+	if c.Tracer != nil {
+		opts = append(opts, gpu.WithTrace(c.Tracer))
 	}
-	if req.LoadStats {
+	if c.LoadStats {
 		opts = append(opts, gpu.WithLoadStats())
 	}
-	smJobs := req.SMJobs
+	smJobs := c.SMJobs
 	if smJobs == 0 {
 		smJobs = r.SMJobs
 	}
 	if smJobs > 1 {
 		opts = append(opts, gpu.WithParallelSMs(smJobs))
 	}
-	return gpu.SimulateContext(ctx, c.cfg, w.Kernel, opts...)
+	return gpu.SimulateContext(ctx, c.Inline, w.Kernel, opts...)
 }
 
 // mapConcurrent applies f to every item using at most workers goroutines

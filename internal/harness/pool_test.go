@@ -71,7 +71,7 @@ func TestRunDeterministicSerialVsParallel(t *testing.T) {
 }
 
 func TestSingleflightDeduplicatesIdenticalRuns(t *testing.T) {
-	// 16 goroutines racing for the same runKey must trigger exactly one
+	// 16 goroutines racing for the same Cell must trigger exactly one
 	// simulation; everyone else either joins the in-flight run or hits
 	// the cache after it lands.
 	r := poolRunner()

@@ -16,13 +16,6 @@ import (
 	"apres/internal/workspec"
 )
 
-// SpecID is the identity a spec run is keyed by in the memo cache and the
-// persistent store: the spec name plus the full canonical content digest,
-// so two different specs sharing a name can never collide.
-func SpecID(s *workspec.Spec) string {
-	return "spec:" + s.Name + ":" + s.Digest()
-}
-
 // SpecSweep simulates every spec under every named configuration
 // concurrently and charts IPC (rows = configs, columns = specs by name).
 func (r *Runner) SpecSweep(ctx context.Context, specs []*workspec.Spec, cfgNames []string) (*Chart, error) {

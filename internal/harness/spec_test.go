@@ -87,8 +87,9 @@ func TestSpecStoreRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("spec run not persisted under its digest key")
 	}
-	if e.Workload != SpecID(s) {
-		t.Errorf("stored workload identity %q, want %q", e.Workload, SpecID(s))
+	// The spec's identity: its name plus the full canonical digest.
+	if want := "spec:" + s.Name + ":" + s.Digest(); e.Workload != want {
+		t.Errorf("stored workload identity %q, want %q", e.Workload, want)
 	}
 
 	// A fresh runner (cold memo cache) must be served from the store.

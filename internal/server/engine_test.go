@@ -181,16 +181,16 @@ func TestAutoSweepTwinFirst(t *testing.T) {
 	}
 }
 
-// TestDaemonDefaultEngine: an apresd started with -engine auto applies the
-// engine to requests that do not choose one, and explicit requests still
-// override it.
+// TestDaemonDefaultEngine: an apresd started with -engine twin applies the
+// engine to requests that do not choose one, explicit requests still
+// override it, and the default steps aside for a request that needs a real
+// run. The defaults live on the Runner, as apresd's flags set them.
 func TestDaemonDefaultEngine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates at calibration scale")
 	}
-	r := harness.NewRunner(0.25, 0)
-	r.Jobs = 8
-	s := New(Options{Runner: r, DefaultEngine: "twin"})
+	s, r := newEngineTestServer(t, "")
+	r.EngineDefault = harness.EngineTwin
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -212,6 +212,36 @@ func TestDaemonDefaultEngine(t *testing.T) {
 	}
 	if out := decodeSimulate(t, data); out.Engine != harness.EngineCycleAccurate {
 		t.Fatalf("explicit engine did not override the default: %q", out.Engine)
+	}
+
+	// Load statistics need a real run: a twin default steps aside, as it
+	// does for the CLIs; an explicit twin is still refused.
+	resp, data = postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{Workload: "SP", Config: "base", LoadStats: true})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("loadStats under a twin default: %d %s", resp.StatusCode, data)
+	}
+	if out := decodeSimulate(t, data); out.Engine != harness.EngineCycleAccurate || out.Escalated {
+		t.Fatalf("loadStats under a twin default: engine %q escalated %v, want an exact run", out.Engine, out.Escalated)
+	}
+	resp, data = postJSON(t, ts.URL+"/v1/simulate",
+		SimulateRequest{Workload: "SP", Config: "base", LoadStats: true, Engine: harness.EngineTwin})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("explicit twin with loadStats: %d %s, want 400", resp.StatusCode, data)
+	}
+
+	// The daemon's tolerance (-tolerance) applies to an auto request that
+	// sets none: 1e-9 is below every calibrated bound, so the run escalates,
+	// where the calibration default would let the twin serve it.
+	s2, r2 := newEngineTestServer(t, "")
+	r2.EngineDefault, r2.EngineTolerance = harness.EngineAuto, 1e-9
+	ts2 := httptest.NewServer(s2)
+	defer ts2.Close()
+	resp, data = postJSON(t, ts2.URL+"/v1/simulate", map[string]any{"workload": "SP", "config": "base", "engine": "auto"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("auto under a daemon tolerance: %d %s", resp.StatusCode, data)
+	}
+	if out := decodeSimulate(t, data); !out.Escalated || out.Engine != harness.EngineCycleAccurate {
+		t.Fatalf("auto under a daemon tolerance of 1e-9: engine %q escalated %v, want an escalated exact run", out.Engine, out.Escalated)
 	}
 }
 

@@ -121,3 +121,23 @@ func BenchmarkExposition(b *testing.B) {
 		b.SetBytes(int64(rec.Body.Len()))
 	}
 }
+
+// TestConfigLabelCap: inline configurations each bring their own label, so
+// the latency histogram keeps maxConfigLabels of them and folds the rest
+// into config="other" — 100 labels render 65 series, not 100.
+func TestConfigLabelCap(t *testing.T) {
+	s, _ := newTestServer(t, "", 0)
+	for i := 0; i < 100; i++ {
+		s.metrics.inflight.Add(1)
+		s.metrics.simEnd(fmt.Sprintf("cfg:%08x", i), 0.01, harness.Outcome{Engine: harness.EngineCycleAccurate}, nil)
+	}
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	body := rec.Body.String()
+	if n := strings.Count(body, "apresd_sim_duration_seconds_count{"); n != maxConfigLabels+1 {
+		t.Errorf("%d config series, want %d", n, maxConfigLabels+1)
+	}
+	if want := `apresd_sim_duration_seconds_count{config="other"} 36`; !strings.Contains(body, want) {
+		t.Errorf("metrics missing %q", want)
+	}
+}

@@ -21,6 +21,10 @@ var latencyBuckets = []float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30,
 // bound of twin-served responses; a +Inf bucket is implicit).
 var boundBuckets = []float64{0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 1}
 
+// maxConfigLabels caps the latency histogram's config labels: each inline
+// configuration brings its own, so past this many, new ones share "other".
+const maxConfigLabels = 64
+
 // metrics is the daemon's mutable counter set. The two atomics stand
 // alone; every other field is guarded by mu, and rendering takes a
 // consistent snapshot of those.
@@ -31,7 +35,8 @@ type metrics struct {
 	shed atomic.Int64
 
 	mu sync.Mutex
-	// simLatency histograms simulation wall time by config label.
+	// simLatency histograms simulation wall time by config label, at most
+	// maxConfigLabels of them plus "other".
 	simLatency map[string]*Histogram
 	// engineServed counts answered runs by the engine that produced them.
 	engineServed map[string]int64
@@ -61,7 +66,7 @@ func newMetrics() *metrics {
 }
 
 // simEnd records one finished run: its wall time under the configuration
-// label and, when it was answered, the engine that served it, its escalation
+// label (or "other" once the label set is full) and, when it was answered, the engine that served it, its escalation
 // flag, a twin answer's IPC error bound and a parallel execution's epoch
 // stats. Outcomes without engine stats (serial runs, cache or store hits,
 // twin answers) leave the epoch gauge alone — it always describes an actual
@@ -71,6 +76,10 @@ func (m *metrics) simEnd(cfgLabel string, seconds float64, out harness.Outcome, 
 	defer m.mu.Unlock()
 	m.inflight.Add(-1)
 	h, ok := m.simLatency[cfgLabel]
+	if !ok && len(m.simLatency) >= maxConfigLabels {
+		cfgLabel = "other"
+		h, ok = m.simLatency[cfgLabel]
+	}
 	if !ok {
 		h = NewHistogram(latencyBuckets)
 		m.simLatency[cfgLabel] = h

@@ -35,6 +35,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -48,7 +49,6 @@ import (
 	"apres/internal/trace"
 	"apres/internal/twin"
 	"apres/internal/version"
-	"apres/internal/workloads"
 	"apres/internal/workspec"
 )
 
@@ -64,12 +64,6 @@ type Options struct {
 	// TraceDir is where traced runs write their artifacts. Empty disables
 	// the trace opt-in (requests with "trace": true get 400).
 	TraceDir string
-	// DefaultEngine serves requests that do not pick an engine; "" means
-	// cycle-accurate (the pre-engine behaviour).
-	DefaultEngine string
-	// DefaultTolerance is the auto engine's escalation threshold for
-	// requests that do not set one; 0 uses the calibration default.
-	DefaultTolerance float64
 	// ShedWatermark enables queue-depth-aware admission control: when the
 	// worker pool already has at least this many callers waiting for a
 	// slot, new simulate/sweep requests are shed with 429 + Retry-After
@@ -176,68 +170,40 @@ type SimulateResponse struct {
 	ErrorBound *twin.Bounds `json:"errorBound,omitempty"`
 }
 
-// resolve validates the workload and configuration sides of a request and
-// translates them into the Runner's terms. name labels the workload in
-// responses and metrics (the benchmark name, or the spec's
-// content-addressed label) and label the configuration (its name, or a
-// digest label for an inline one).
-func (req *SimulateRequest) resolve() (run harness.Request, name, label string, err error) {
+// resolve checks what only the wire format can get wrong — which workload
+// and configuration fields are set, sm_jobs, a spec's schema — and hands
+// the rest to harness.Resolve, which validates the request and names its
+// cell.
+func (req *SimulateRequest) resolve() (harness.Request, error) {
 	switch {
 	case req.Workload == "" && req.Spec == nil:
-		return run, "", "", errors.New("missing workload: set workload or spec")
+		return harness.Request{}, errors.New("missing workload: set workload or spec")
 	case req.Workload != "" && req.Spec != nil:
-		return run, "", "", errors.New("workload and spec are mutually exclusive")
-	case req.Spec != nil:
-		if err := req.Spec.Validate(); err != nil {
-			return run, "", "", err
-		}
-		run.Spec, name = req.Spec, req.Spec.Label()
-	default:
-		if !workloads.Known(req.Workload) {
-			return run, "", "", fmt.Errorf("unknown workload %q", req.Workload)
-		}
-		run.Workload, name = req.Workload, req.Workload
-	}
-	switch {
+		return harness.Request{}, errors.New("workload and spec are mutually exclusive")
 	case req.Config != "" && req.ConfigInline != nil:
-		return run, "", "", errors.New("config and configInline are mutually exclusive")
+		return harness.Request{}, errors.New("config and configInline are mutually exclusive")
 	case req.SMJobs < 0:
-		return run, "", "", fmt.Errorf("sm_jobs must be >= 0, got %d", req.SMJobs)
-	case req.ConfigInline != nil:
-		if err := req.ConfigInline.Validate(); err != nil {
-			return run, "", "", err
+		return harness.Request{}, fmt.Errorf("sm_jobs must be >= 0, got %d", req.SMJobs)
+	}
+	if req.Spec != nil {
+		if err := req.Spec.Validate(); err != nil {
+			return harness.Request{}, err
 		}
-		run.Inline, label = *req.ConfigInline, "cfg:"+resultstore.ConfigDigest(*req.ConfigInline)[:8]
-	default:
-		if label = req.Config; label == "" {
-			label = "base"
-		}
-		if _, err := harness.NamedConfig(label); err != nil {
-			return run, "", "", err
-		}
-		run.Config = label
 	}
-	run.LoadStats, run.SMJobs = req.LoadStats, req.SMJobs
-	return run, name, label, nil
-}
-
-// resolveEngine applies the daemon's default engine and tolerance to a
-// request's (possibly empty) choices and validates both.
-func (s *Server) resolveEngine(engine string, tolerance float64) (harness.EngineReq, error) {
-	if engine == "" {
-		engine = s.opts.DefaultEngine
+	run := harness.Request{
+		Workload:  req.Workload,
+		Spec:      req.Spec,
+		Config:    req.Config,
+		LoadStats: req.LoadStats,
+		EngineReq: harness.EngineReq{Engine: req.Engine, Tolerance: req.Tolerance},
+		RunOpts:   harness.RunOpts{SMJobs: req.SMJobs},
 	}
-	eng, err := harness.ParseEngine(engine)
-	if err != nil {
-		return harness.EngineReq{}, err
+	if req.ConfigInline != nil {
+		run.Inline = *req.ConfigInline
+	} else if run.Config == "" {
+		run.Config = "base"
 	}
-	if tolerance < 0 {
-		return harness.EngineReq{}, fmt.Errorf("tolerance must be >= 0, got %g", tolerance)
-	}
-	if tolerance == 0 {
-		tolerance = s.opts.DefaultTolerance
-	}
-	return harness.EngineReq{Engine: eng, Tolerance: tolerance}, nil
+	return harness.Resolve(run)
 }
 
 // shed applies queue-depth admission control: with a watermark configured
@@ -280,14 +246,15 @@ func runErrorStatus(err error) int {
 	}
 }
 
-// run sends one cell through the Runner with the daemon's bookkeeping
-// around it: the in-flight gauge, the per-configuration latency histogram
-// and, for an answered run, the engine and epoch counters.
-func (s *Server) run(ctx context.Context, req harness.Request, label string) (harness.Outcome, time.Duration, error) {
+// run sends one resolved cell through the Runner with the daemon's
+// bookkeeping around it: the in-flight gauge, the per-configuration latency
+// histogram and, for an answered run, the engine and epoch counters.
+func (s *Server) run(ctx context.Context, req harness.Request) (harness.Outcome, time.Duration, error) {
 	s.metrics.inflight.Add(1)
 	t0 := time.Now()
 	out, err := s.runner.Do(ctx, req)
 	wall := time.Since(t0)
+	_, label := req.Cell().Labels()
 	s.metrics.simEnd(label, wall.Seconds(), out, err)
 	return out, wall, err
 }
@@ -309,19 +276,17 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if !DecodeBody(w, r, &req) {
 		return
 	}
-	run, name, label, err := req.resolve()
-	if err == nil {
-		run.EngineReq, err = s.resolveEngine(req.Engine, req.Tolerance)
+	run, err := req.resolve()
+	if err == nil && req.Trace && req.Engine == harness.EngineTwin {
+		// The tracer is attached below, after Resolve has checked the
+		// engine: this is the one combination it cannot see.
+		err = harness.ErrTwinNeedsRun
 	}
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if run.Engine == harness.EngineTwin && (req.Trace || req.LoadStats) {
-		WriteError(w, http.StatusBadRequest, "engine %q cannot serve traces or load statistics: they need a real execution (use %q or %q)",
-			harness.EngineTwin, harness.EngineCycleAccurate, harness.EngineAuto)
-		return
-	}
+	name, label := run.Cell().Labels()
 	// A traced run always executes, with the tracer streaming to an
 	// artifact; under auto that is an escalation, and the Runner annotates
 	// it as one.
@@ -337,7 +302,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := s.simCtx(r)
 	defer cancel()
-	out, wall, err := s.run(ctx, run, label)
+	out, wall, err := s.run(ctx, run)
 	var traceURL string
 	if art != nil {
 		traceURL, err = s.finishTrace(art, err)
@@ -491,8 +456,8 @@ type SweepResponse struct {
 // matrix: a named Table-IV workload or an inline spec, under a named
 // configuration. The worker daemon simulates Cells; the cluster
 // coordinator shards them across nodes — both expand the same matrix
-// through SweepRequest.Cells, so cell granularity and ordering are defined
-// exactly once.
+// through SweepRequest.Cells, so cell granularity, ordering and validation
+// are defined exactly once.
 type Cell struct {
 	// Workload is the named workload; "" when Spec is set.
 	Workload string
@@ -500,38 +465,36 @@ type Cell struct {
 	Spec *workspec.Spec
 	// Config is the named configuration.
 	Config string
-	// label is the spec's label when Cells has already digested the spec —
-	// once for all the cells that share it.
-	label string
+	// run is the cell's request as SweepRequest.Cells resolved it.
+	run harness.Request
+}
+
+// cell returns the cell's harness identity: the one Cells resolved, or for
+// a Cell built by hand a fresh resolution (zero if the Cell is invalid).
+func (c Cell) cell() harness.Cell {
+	if c.run.Cell() == (harness.Cell{}) {
+		c.run, _ = harness.Resolve(harness.Request{Workload: c.Workload, Spec: c.Spec, Config: c.Config})
+	}
+	return c.run.Cell()
 }
 
 // Name labels the cell's workload axis: the benchmark name, or the spec's
 // content-addressed label.
-func (c Cell) Name() string {
-	switch {
-	case c.label != "":
-		return c.label
-	case c.Spec != nil:
-		return c.Spec.Label()
-	}
-	return c.Workload
-}
+func (c Cell) Name() string { name, _ := c.cell().Labels(); return name }
 
-// ID returns the cell's stable identity string. It is derived from the
-// same constituents as the persistent-store key (workload identity, named
-// configuration, load-stats flag) minus version and scale, so hashing it
-// routes repeated sweeps of the same cell to the same node — onto warm
-// memo and store state — across coordinator restarts.
-func (c Cell) ID(loadStats bool) string { return cellID(c.Name(), c.Config, loadStats) }
-
-func cellID(workload, config string, loadStats bool) string {
-	return fmt.Sprintf("%s\x00%s\x00%t", workload, config, loadStats)
+// ID returns the cell's placement key, harness.Cell.String with the given
+// load-stats flag.
+func (c Cell) ID(loadStats bool) string {
+	id := c.cell()
+	id.LoadStats = loadStats
+	return id.String()
 }
 
 // Cells validates the request and expands its matrix in workload-major
 // request order (named workloads, then specs, each crossed with the
-// configs). Validation is up front and field-precise so a typo fails fast
-// with one 400 instead of surfacing mid-sweep.
+// configs), resolving every cell through harness.Resolve. Validation is up
+// front and field-precise so a typo fails fast with one 400 instead of
+// surfacing mid-sweep — on a worker and on a coordinator alike.
 func (req *SweepRequest) Cells() ([]Cell, error) {
 	if len(req.Workloads)+len(req.Specs) == 0 || len(req.Configs) == 0 {
 		return nil, errors.New("workloads/specs and configs must both be non-empty")
@@ -539,10 +502,9 @@ func (req *SweepRequest) Cells() ([]Cell, error) {
 	if req.SMJobs < 0 {
 		return nil, fmt.Errorf("sm_jobs must be >= 0, got %d", req.SMJobs)
 	}
-	for _, app := range req.Workloads {
-		if !workloads.Known(app) {
-			return nil, fmt.Errorf("unknown workload %q", app)
-		}
+	if slices.Contains(req.Configs, "") {
+		// To harness.Resolve an empty name means an inline configuration.
+		return nil, errors.New(`configs: "" names no configuration`)
 	}
 	for i, sp := range req.Specs {
 		if sp == nil {
@@ -552,11 +514,6 @@ func (req *SweepRequest) Cells() ([]Cell, error) {
 			return nil, fmt.Errorf("specs[%d]: %v", i, err)
 		}
 	}
-	for _, name := range req.Configs {
-		if _, err := harness.NamedConfig(name); err != nil {
-			return nil, err
-		}
-	}
 	cells := make([]Cell, 0, (len(req.Workloads)+len(req.Specs))*len(req.Configs))
 	for _, app := range req.Workloads {
 		for _, cfg := range req.Configs {
@@ -564,9 +521,22 @@ func (req *SweepRequest) Cells() ([]Cell, error) {
 		}
 	}
 	for _, sp := range req.Specs {
-		label := sp.Label()
 		for _, cfg := range req.Configs {
-			cells = append(cells, Cell{Spec: sp, Config: cfg, label: label})
+			cells = append(cells, Cell{Spec: sp, Config: cfg})
+		}
+	}
+	for i, c := range cells {
+		var err error
+		cells[i].run, err = harness.Resolve(harness.Request{
+			Workload:  c.Workload,
+			Spec:      c.Spec,
+			Config:    c.Config,
+			LoadStats: req.LoadStats,
+			EngineReq: harness.EngineReq{Engine: req.Engine, Tolerance: req.Tolerance},
+			RunOpts:   harness.RunOpts{SMJobs: req.SMJobs},
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	return cells, nil
@@ -590,16 +560,16 @@ func (req *SweepRequest) CellRequest(c Cell) SweepRequest {
 	return sub
 }
 
-// CellID validates the workload and config side of a simulate request and
-// returns its placement identity, consistent with Cell.ID. The cluster
-// coordinator uses it to route proxied /v1/simulate requests to the same
-// node the equivalent sweep cell lands on.
+// CellID validates a simulate request as a worker would and returns its
+// placement key, consistent with Cell.ID. The cluster coordinator uses it
+// to route proxied /v1/simulate requests to the same node the equivalent
+// sweep cell lands on.
 func (req *SimulateRequest) CellID() (string, error) {
-	_, name, label, err := req.resolve()
+	run, err := req.resolve()
 	if err != nil {
 		return "", err
 	}
-	return cellID(name, label, req.LoadStats), nil
+	return run.Cell().String(), nil
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -611,17 +581,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ins, err := req.Cells()
-	var eng harness.EngineReq
-	if err == nil {
-		eng, err = s.resolveEngine(req.Engine, req.Tolerance)
-	}
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if eng.Engine == harness.EngineTwin && req.LoadStats {
-		WriteError(w, http.StatusBadRequest, "engine %q cannot collect load statistics (use %q or %q)",
-			harness.EngineTwin, harness.EngineCycleAccurate, harness.EngineAuto)
 		return
 	}
 
@@ -629,18 +590,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	cells := make([]SweepCell, len(ins))
 	var wg sync.WaitGroup
-	for i, in := range ins {
+	for i := range ins {
 		wg.Add(1)
-		go func(i int, in Cell) {
+		go func(i int) {
 			defer wg.Done()
-			out, wall, err := s.run(ctx, harness.Request{
-				Workload:  in.Workload,
-				Spec:      in.Spec,
-				Config:    in.Config,
-				LoadStats: req.LoadStats,
-				EngineReq: eng,
-				RunOpts:   harness.RunOpts{SMJobs: req.SMJobs},
-			}, in.Config)
+			in := &ins[i]
+			out, wall, err := s.run(ctx, in.run)
 			cells[i] = SweepCell{
 				Workload:   in.Name(),
 				Config:     in.Config,
@@ -657,7 +612,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				cells[i].Error = err.Error()
 			}
-		}(i, in)
+		}(i)
 	}
 	wg.Wait()
 

@@ -319,6 +319,7 @@ func TestBadRequestsReturn400(t *testing.T) {
 		"empty":        {},
 		"bad workload": {Workloads: []string{"NOPE"}, Configs: []string{"base"}},
 		"bad config":   {Workloads: []string{"BFS"}, Configs: []string{"nope"}},
+		"empty config": {Workloads: []string{"BFS"}, Configs: []string{""}},
 	} {
 		resp, _ := postJSON(t, ts.URL+"/v1/sweep", body)
 		if resp.StatusCode != http.StatusBadRequest {

@@ -22,6 +22,10 @@ import (
 	"apres/internal/workspec"
 )
 
+// specLabel is a spec's name in responses: its name and a 12-hex-digit
+// prefix of its canonical digest.
+func specLabel(s *workspec.Spec) string { return "spec:" + s.Name + ":" + s.Digest()[:12] }
+
 func paperSpec(t *testing.T, name string) *workspec.Spec {
 	t.Helper()
 	w, ok := workloads.ByName(name)
@@ -52,8 +56,8 @@ func TestSimulateInlineSpecStoredAndServedOnRepeat(t *testing.T) {
 	if first.Cached {
 		t.Error("first spec run reported cached")
 	}
-	if first.Workload != spec.Label() {
-		t.Errorf("response workload %q, want spec label %q", first.Workload, spec.Label())
+	if want := specLabel(spec); first.Workload != want {
+		t.Errorf("response workload %q, want spec label %q", first.Workload, want)
 	}
 	if first.Key == "" {
 		t.Fatal("spec run got no store key")
@@ -63,7 +67,8 @@ func TestSimulateInlineSpecStoredAndServedOnRepeat(t *testing.T) {
 	// with the workspec version folded in.
 	eff := mustBase(t)
 	eff.NumSMs = r.SMs
-	wantKey := resultstore.Key(harness.SpecID(spec), r.Scale, false, eff, version.Stamp()+"+"+workspec.VersionTag())
+	specID := "spec:" + spec.Name + ":" + spec.Digest()
+	wantKey := resultstore.Key(specID, r.Scale, false, eff, version.Stamp()+"+"+workspec.VersionTag())
 	if first.Key != wantKey {
 		t.Errorf("key %s, want canonical spec key %s", first.Key, wantKey)
 	}
@@ -79,8 +84,8 @@ func TestSimulateInlineSpecStoredAndServedOnRepeat(t *testing.T) {
 	if err := json.Unmarshal(data2, &entry); err != nil {
 		t.Fatal(err)
 	}
-	if entry.Workload != harness.SpecID(spec) {
-		t.Errorf("stored workload %q, want %q", entry.Workload, harness.SpecID(spec))
+	if entry.Workload != specID {
+		t.Errorf("stored workload %q, want %q", entry.Workload, specID)
 	}
 
 	// Repeat with cosmetically different JSON (re-marshalled spec): cached.
@@ -202,7 +207,7 @@ func TestSweepWithSpecs(t *testing.T) {
 		t.Fatalf("want 4 cells, got %d", len(out.Cells))
 	}
 	// Workload-major order: named first, then specs.
-	if out.Cells[0].Workload != "SP" || out.Cells[2].Workload != spec.Label() {
+	if out.Cells[0].Workload != "SP" || out.Cells[2].Workload != specLabel(spec) {
 		t.Fatalf("cell order wrong: %q, %q", out.Cells[0].Workload, out.Cells[2].Workload)
 	}
 	for _, c := range out.Cells {

@@ -419,13 +419,6 @@ func (s *Spec) Digest() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Label is the short human-readable identifier used in caches, metrics and
-// API responses: the spec name plus a digest prefix, so distinct specs
-// sharing a name never collide.
-func (s *Spec) Label() string {
-	return "spec:" + s.Name + ":" + s.Digest()[:12]
-}
-
 // Encode renders the spec as indented JSON with a trailing newline, for
 // writing spec files.
 func (s *Spec) Encode() []byte {
