@@ -13,15 +13,12 @@ package apres_test
 
 import (
 	"context"
-	"fmt"
-	"runtime"
 	"testing"
 
 	"apres/internal/config"
 	"apres/internal/gpu"
 	"apres/internal/harness"
 	"apres/internal/kernel"
-	"apres/internal/twin"
 	"apres/internal/workloads"
 )
 
@@ -197,19 +194,28 @@ func BenchmarkFig15(b *testing.B) {
 // ablation benches stay quick.
 var ablationApps = []string{"BFS", "SRAD", "SP"}
 
-// benchAblation measures APRES mean speedup under a config adjustment.
-func benchAblation(b *testing.B, adjust func(*config.Config)) float64 {
+// benchAblation measures APRES's mean speedup over the baseline on
+// ablationApps with one APRES structure changed. The changed configuration
+// runs as an inline cell, memoised and stored under its own digest.
+func benchAblation(b *testing.B, change func(*config.Config)) float64 {
 	b.Helper()
-	r := harness.NewRunner(benchScale, benchSMs)
-	r.Adjust = adjust
+	cfg := config.APRES()
+	change(&cfg)
 	var mean float64
 	for i := 0; i < b.N; i++ {
-		c, err := r.Fig10(ablationApps)
-		if err != nil {
-			b.Fatal(err)
+		var sum float64
+		for _, app := range ablationApps {
+			base, err := sharedRunner.Run(app, "base")
+			if err != nil {
+				b.Fatal(err)
+			}
+			out, err := sharedRunner.Do(context.Background(), harness.Request{Workload: app, Inline: cfg})
+			if err != nil {
+				b.Fatal(err)
+			}
+			sum += float64(base.Cycles) / float64(out.Result.Cycles)
 		}
-		s, _ := c.SeriesByName("apres")
-		mean = s.Mean(ablationApps)
+		mean = sum / float64(len(ablationApps))
 	}
 	return mean
 }
@@ -218,11 +224,7 @@ func BenchmarkAblationWGTDepth(b *testing.B) {
 	for _, depth := range []int{1, 3, 8} {
 		depth := depth
 		b.Run(map[int]string{1: "wgt1", 3: "wgt3-paper", 8: "wgt8"}[depth], func(b *testing.B) {
-			m := benchAblation(b, func(c *config.Config) {
-				if c.APRESCoupling {
-					c.LAWSWGTEntries = depth
-				}
-			})
+			m := benchAblation(b, func(c *config.Config) { c.LAWSWGTEntries = depth })
 			b.ReportMetric(m, "apres-speedup")
 		})
 	}
@@ -232,11 +234,7 @@ func BenchmarkAblationPTSize(b *testing.B) {
 	for _, size := range []int{2, 10, 32} {
 		size := size
 		b.Run(map[int]string{2: "pt2", 10: "pt10-paper", 32: "pt32"}[size], func(b *testing.B) {
-			m := benchAblation(b, func(c *config.Config) {
-				if c.APRESCoupling {
-					c.SAPPTEntries = size
-				}
-			})
+			m := benchAblation(b, func(c *config.Config) { c.SAPPTEntries = size })
 			b.ReportMetric(m, "apres-speedup")
 		})
 	}
@@ -250,11 +248,7 @@ func BenchmarkAblationTailDemotion(b *testing.B) {
 			name = "on-paper"
 		}
 		b.Run(name, func(b *testing.B) {
-			m := benchAblation(b, func(c *config.Config) {
-				if c.Scheduler == config.SchedLAWS {
-					c.LAWSTailDemotion = on
-				}
-			})
+			m := benchAblation(b, func(c *config.Config) { c.LAWSTailDemotion = on })
 			b.ReportMetric(m, "apres-speedup")
 		})
 	}
@@ -268,11 +262,7 @@ func BenchmarkAblationStrideGate(b *testing.B) {
 			name = "on-paper"
 		}
 		b.Run(name, func(b *testing.B) {
-			m := benchAblation(b, func(c *config.Config) {
-				if c.APRESCoupling {
-					c.SAPStrideGate = on
-				}
-			})
+			m := benchAblation(b, func(c *config.Config) { c.SAPStrideGate = on })
 			b.ReportMetric(m, "apres-speedup")
 		})
 	}
@@ -299,54 +289,25 @@ func BenchmarkAblationCoupling(b *testing.B) {
 	b.ReportMetric(uncoupled, "laws+str-speedup")
 }
 
-// BenchmarkFig10ByJobs measures the worker pool's scaling: the same figure
-// regenerated from a cold cache at increasing -jobs widths. On a multicore
-// host the wall time per op should drop roughly linearly until the core
-// count (or the longest single simulation) is reached.
-func BenchmarkFig10ByJobs(b *testing.B) {
-	for _, jobs := range []int{1, 2, 4, 8} {
-		jobs := jobs
-		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				// A fresh runner per iteration busts the cache so the
-				// benchmark measures simulation fan-out, not memoisation.
-				r := harness.NewRunner(benchScale, benchSMs)
-				r.Jobs = jobs
-				if _, err := r.Fig10(ablationApps); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkSimulatorThroughput measures raw simulation speed (cycles
-// simulated per second) — useful when sizing new experiments. The skip
-// sub-benchmarks run the event-driven loop as shipped; the noskip pair
-// forces the cycle-by-cycle loop, so the ratio is the fast-forwarding win
-// on memory-intensive workloads; the par{2,4,8} legs shard the per-SM loop
-// across that many worker goroutines (bit-identical results — the ratio to
-// skip is the epoch/barrier engine's wall-clock win at the paper's 15 SMs).
-// `go run ./bench -workload sim_serial` / `sim_smjobs2` is the benchmark of
-// record for the same engines at full scale (bench/reference.json).
-//
 // TestSimulatorAllocBudget guards the allocation-free per-cycle path: a full
 // simulation at bench scale allocates for its one-time setup and for queues,
 // tables and pools growing to their working size, and nothing per cycle, per
 // access or per scheduler/prefetcher event. The baseline configuration must
-// stay within a fixed budget per app (BenchmarkSimulatorThroughput reports
-// allocs/op); CCWS+STR and APRES — which add the CCWS victim tags, the STR
-// and SAP tables, LAWS regrouping and the prefetch queue to the hot path —
-// must stay within 1.5x of the same app's baseline count, so a scheduler or
-// prefetcher that allocates per event (they did: LAWS.partition, SAP's sort,
-// STR's request slice, WarpMask.Warps in CCWS.Pick) fails here. A regression
-// means something on the per-cycle path started allocating — including, per
-// the tracing contract, any cost from the disabled (nil) tracer. The parallel
-// leg additionally pins the epoch engine's steady-state overhead to within
-// 1% of serial: with the engine's working set (schedules, barrier buffers,
-// injection queues) and the memory system's fill mirrors pooled across runs,
-// a parallel run's extra allocations are just the engine struct, the
-// barrier's park slots, and the goroutine spawns.
+// stay within a fixed budget per app (`go run ./bench` reports
+// gpu.allocs_per_sim); CCWS+STR and APRES — which add the CCWS victim tags,
+// the STR and SAP tables, LAWS regrouping and the prefetch queue to the hot
+// path — must stay within 1.5x of the same app's baseline count, so a
+// scheduler or prefetcher that allocates per event (they did: LAWS.partition,
+// SAP's sort, STR's request slice, WarpMask.Warps in CCWS.Pick) fails here. A
+// regression means something on the per-cycle path started allocating —
+// including, per the tracing contract, any cost from the disabled (nil)
+// tracer. The parallel leg additionally pins the epoch engine's steady-state
+// overhead to within 1% of serial: with the engine's working set (schedules,
+// barrier buffers, injection queues) and the memory system's fill mirrors
+// pooled across runs, a parallel run's extra allocations are just the engine
+// struct, the barrier's park slots, and the goroutine spawns. It asks for 4
+// workers and gets min(4, GOMAXPROCS); on a one-processor host that is the
+// serial engine and the leg compares serial with itself.
 func TestSimulatorAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
@@ -387,122 +348,6 @@ func TestSimulatorAllocBudget(t *testing.T) {
 				t.Errorf("%s/%s: %.0f allocs/run exceeds 1.5x the baseline's %.0f (limit %.0f)",
 					app, name, got, serial, limit)
 			}
-		}
-	}
-}
-
-// BenchmarkTwinThroughput measures the analytical twin's steady-state query
-// latency on the same workloads and scale as BenchmarkSimulatorThroughput —
-// the ratio of the two is the fast path's serving win (`go run ./bench
-// -workload serve_mixed -trace 1` measures the twin inside the serving path;
-// bench/reference.json records it).
-// The predict legs time Model.Predict alone; the engine legs go through the
-// harness engine selector (twinServe + gpu.Result synthesis), which is what
-// apresd's serving path pays per twin-served request.
-func BenchmarkTwinThroughput(b *testing.B) {
-	model := twin.New()
-	for _, app := range []string{"SP", "BFS"} {
-		w, ok := workloads.ByName(app)
-		if !ok {
-			b.Fatalf("unknown workload %s", app)
-		}
-		w.Kernel = w.Kernel.Scaled(benchScale)
-		cfg := config.APRES()
-		b.Run(app+"/predict", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := model.Predict(app, w, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/sec")
-		})
-		b.Run(app+"/engine", func(b *testing.B) {
-			b.ReportAllocs()
-			r := harness.NewRunner(benchScale, benchSMs)
-			req := harness.EngineReq{Engine: harness.EngineTwin}
-			for i := 0; i < b.N; i++ {
-				out, err := r.RunEngineNamed(context.Background(), app, "apres", false, req, harness.RunOpts{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if out.Engine != harness.EngineTwin {
-					b.Fatalf("served by %q, want the twin", out.Engine)
-				}
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/sec")
-		})
-	}
-}
-
-// BenchmarkAdvanceInflation is the false-sharing guard for the parallel
-// engine: how much more SM-side CPU time the two workers of a -smjobs 2 run
-// of SP/base spend when they really run side by side than when the same two
-// blocks run back to back. The serial loop's SM side cannot be timed from
-// outside the engine, so the denominator is the same engine at GOMAXPROCS 1,
-// where the coordinator's block and the worker's block take turns on one
-// processor (advance + barrier wait is then their sum); the numerator at
-// GOMAXPROCS 2 is the coordinator's block plus the worker's, which started
-// with it and ended when the barrier wait did. 1.0 means overlapping is
-// free. Per-cycle words of SMs on different workers sharing a cache line
-// push it up — and so does a host whose two threads share one core, so read
-// a high value next to TestParallelWallClock's side-by-side probe.
-func BenchmarkAdvanceInflation(b *testing.B) {
-	if runtime.NumCPU() < 2 {
-		b.Skip("needs two hardware threads for the workers to overlap")
-	}
-	w, ok := workloads.ByName("SP")
-	if !ok {
-		b.Fatal("unknown workload SP")
-	}
-	smSide := func(procs int) (adv, wait float64) {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		res, err := gpu.Simulate(config.Baseline(), w.Kernel, gpu.WithParallelSMs(2))
-		if err != nil {
-			b.Fatal(err)
-		}
-		es := res.EngineStats
-		return float64(es.AdvanceNS), float64(es.BarrierWaitNS)
-	}
-	var overlapped, backToBack float64
-	for i := 0; i < b.N; i++ {
-		adv, wait := smSide(2)
-		overlapped += 2*adv + wait
-		adv, wait = smSide(1)
-		backToBack += adv + wait
-	}
-	b.ReportMetric(overlapped/backToBack, "advance-inflation")
-}
-
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	for _, app := range []string{"SP", "BFS", "KM", "NW"} {
-		w, ok := workloads.ByName(app)
-		if !ok {
-			b.Fatalf("unknown workload %s", app)
-		}
-		kern := w.Kernel.Scaled(benchScale)
-		for _, mode := range []struct {
-			name string
-			opts []gpu.Option
-		}{
-			{"skip", nil},
-			{"noskip", []gpu.Option{gpu.WithoutCycleSkipping()}},
-			{"par2", []gpu.Option{gpu.WithParallelSMs(2)}},
-			{"par4", []gpu.Option{gpu.WithParallelSMs(4)}},
-			{"par8", []gpu.Option{gpu.WithParallelSMs(8)}},
-		} {
-			b.Run(app+"/"+mode.name, func(b *testing.B) {
-				b.ReportAllocs()
-				var cycles int64
-				for i := 0; i < b.N; i++ {
-					res, err := gpu.Simulate(config.Baseline(), kern, mode.opts...)
-					if err != nil {
-						b.Fatal(err)
-					}
-					cycles += res.Cycles
-				}
-				b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/sec")
-			})
 		}
 	}
 }

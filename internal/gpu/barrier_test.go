@@ -43,57 +43,94 @@ func TestLanePaddingAndBlocks(t *testing.T) {
 	}
 }
 
-// TestSpinBudget pins the barrier's spin rule: a few times the mean serial
-// section, capped, and nothing at all when Go has fewer processors than the
-// engine has workers — there a poll only delays the goroutine it waits for.
+// TestSpinBudget pins the barrier's spin rule: nothing before the first
+// epoch has measured a serial section, then a few times the mean serial
+// section, capped.
 func TestSpinBudget(t *testing.T) {
 	w, _ := workloads.ByName("SP")
-	budget := func(procs int, serialPerEpoch time.Duration) time.Duration {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	budget := func(epochs int64, serialPerEpoch time.Duration) time.Duration {
 		g, err := New(config.Baseline(), w.Kernel, WithParallelSMs(2))
 		if err != nil {
 			t.Fatal(err)
 		}
 		e := newParallelEngine(g)
 		defer e.stop()
-		e.prof.Epochs = 10
+		e.prof.Epochs = epochs
 		e.prof.PrepareNS = 4 * int64(serialPerEpoch)
 		e.prof.DrainNS = 6 * int64(serialPerEpoch)
 		return e.spinBudget()
 	}
-	if got := budget(1, 100*time.Microsecond); got != 0 {
-		t.Errorf("GOMAXPROCS 1, 2 workers: spin budget %v, want 0 (park at once)", got)
+	if got := budget(0, 0); got != 0 {
+		t.Errorf("first epoch: spin budget %v, want 0 (park at once)", got)
 	}
-	if got, want := budget(2, 100*time.Microsecond), spinFactor*100*time.Microsecond; got != want {
-		t.Errorf("GOMAXPROCS 2, 2 workers: spin budget %v, want %v", got, want)
+	if got, want := budget(10, 100*time.Microsecond), spinFactor*100*time.Microsecond; got != want {
+		t.Errorf("spin budget %v, want %v", got, want)
 	}
-	if got := budget(2, 10*time.Millisecond); got != maxSpin {
+	if got := budget(10, 10*time.Millisecond); got != maxSpin {
 		t.Errorf("long serial sections: spin budget %v, want the %v cap", got, maxSpin)
 	}
 }
 
-// TestParallelCancelStopsWorkers cancels a parallel run in mid-flight: it
-// must return the context's error, and every worker goroutine must be gone
-// soon after — whether the workers were spinning at the barrier (GOMAXPROCS
-// covers them) or parked (it does not).
+// TestBarrierPingPongOneProc drives the epoch barrier through many hand-offs
+// with one processor and no spinning, so every wait parks and every wake-up
+// goes through parker.signal. A lost wake-up leaves both sides parked: the
+// watchdog fails the test instead of letting the run hang. The engine is
+// built with three workers by hand, past the clamp New would apply, and
+// hands out empty windows, so only the barrier does work.
+func TestBarrierPingPongOneProc(t *testing.T) {
+	const rounds = 20000
+	w, _ := workloads.ByName("SP")
+	cfg := config.Baseline()
+	cfg.NumSMs = 4
+	g, err := New(cfg, w.Kernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	g.smJobs = 4
+	e := newParallelEngine(g)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < rounds; i++ {
+			e.fanOut(epochWindow{from: 1, to: 0})
+			e.awaitWorkers(0)
+		}
+		e.stop()
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Minute):
+		t.Fatalf("barrier hung: %d of %d hand-offs done", e.bar.seq.Load(), rounds)
+	}
+	// stop() is the last hand-off; every worker must have counted each one.
+	if got, want := e.bar.done.Load(), int64(rounds+1)*int64(len(e.bar.workers)); got != want {
+		t.Fatalf("workers finished %d windows, want %d", got, want)
+	}
+}
+
+// TestParallelCancelStopsWorkers cancels a parallel run: it must return the
+// context's error, and every worker goroutine must be gone soon after —
+// whether the workers were spinning at the barrier (cancelled mid-run) or
+// waiting for the first epoch, a hand-off they park for at once.
 func TestParallelCancelStopsWorkers(t *testing.T) {
 	w, ok := workloads.ByName("KM")
 	if !ok {
 		t.Fatal("unknown workload KM")
 	}
 	for _, c := range []struct {
-		name  string
-		procs int
+		name    string
+		timeout time.Duration
 	}{
-		{"spinning", 4},
-		{"parked", 1},
+		{"spinning", 30 * time.Millisecond},
+		{"parked", 0},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.procs))
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 			before := runtime.NumGoroutine()
-			// Full-scale KM runs for most of a second; the deadline lands
-			// a few dozen epochs in.
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+			// Full-scale KM runs for most of a second; the 30ms deadline
+			// lands a few dozen epochs in.
+			ctx, cancel := context.WithTimeout(context.Background(), c.timeout)
 			defer cancel()
 			_, err := SimulateContext(ctx, config.APRES(), w.Kernel, WithParallelSMs(4))
 			if !errors.Is(err, context.DeadlineExceeded) {

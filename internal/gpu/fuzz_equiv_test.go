@@ -27,6 +27,7 @@ func checkEngineEquivalence(t *testing.T,
 	warps, iters, aluN, jitter, lane1, lane2, flags uint8,
 	ws1, ws2 int16, wrap1, wrap2 uint16, seed uint64) {
 	t.Helper()
+	atLeastProcs(t, 4) // the 4-worker leg must not be clamped to 2
 
 	laneStride := func(sel uint8) int64 {
 		switch sel % 4 {

@@ -7,6 +7,7 @@ package gpu
 import (
 	"context"
 	"fmt"
+	"runtime"
 
 	"apres/internal/arch"
 	"apres/internal/config"
@@ -18,8 +19,9 @@ import (
 	"apres/internal/trace"
 )
 
-// TimelinePoint is one sample of aggregate progress (for plotting IPC over
-// time and spotting phase behaviour).
+// TimelinePoint is one sample of aggregate progress. No run records any:
+// the trace interval sampler (WithTrace) carries the same instruction count.
+// The type stays only because Result.Timeline does.
 type TimelinePoint struct {
 	// Cycle is the sample time.
 	Cycle int64
@@ -46,8 +48,9 @@ type Result struct {
 	// HitMaxCycles reports the run stopped at the MaxCycles bound
 	// instead of kernel completion.
 	HitMaxCycles bool
-	// Timeline holds periodic progress samples when the GPU was built
-	// with WithTimeline.
+	// Timeline is always empty. Its "Timeline": null is part of the API
+	// bytes and the result-store header, so the field goes with the
+	// goldens' re-bless (ROADMAP item 6).
 	Timeline []TimelinePoint
 	// EngineStats reports how the run executed (parallel epoch counts and
 	// coverage; zero for serial runs). It is execution metadata, excluded
@@ -74,8 +77,6 @@ type GPU struct {
 	shared  stats.Stats
 
 	collectLoadStats bool
-	timelineInterval int64
-	timeline         []TimelinePoint
 	noSkip           bool
 	tr               *trace.Tracer
 
@@ -102,16 +103,6 @@ func WithLoadStats() Option {
 	return func(g *GPU) { g.collectLoadStats = true }
 }
 
-// WithTimeline samples cumulative instruction counts every interval cycles
-// into Result.Timeline.
-func WithTimeline(interval int64) Option {
-	return func(g *GPU) {
-		if interval > 0 {
-			g.timelineInterval = interval
-		}
-	}
-}
-
 // WithTrace attaches a Tracer: every component emits its typed events into
 // it and the run loop records interval samples at the tracer's window
 // boundaries (including boundaries inside cycle-skipped gaps). Tracing
@@ -130,8 +121,10 @@ func WithTrace(tr *trace.Tracer) Option {
 // the shared NoC/L2/DRAM side observes exactly the serial event sequence.
 // Results — cycles, every statistic, trace streams, interval samples — are
 // bit-identical to the serial engine for every n (parallel_equiv_test.go
-// enforces it). n <= 1 keeps the default serial loop; n is clamped to the
-// SM count.
+// enforces it). n <= 1 keeps the default serial loop. New clamps n to the
+// SM count and to GOMAXPROCS at that moment: a worker without a processor
+// only delays the epochs it waits on, and EngineStats.SMJobs reports the
+// count the run used.
 func WithParallelSMs(n int) Option {
 	return func(g *GPU) { g.smJobs = n }
 }
@@ -157,9 +150,7 @@ func New(cfg config.Config, kern kernel.Kernel, opts ...Option) (*GPU, error) {
 	for _, o := range opts {
 		o(g)
 	}
-	if g.smJobs > cfg.NumSMs {
-		g.smJobs = cfg.NumSMs
-	}
+	g.smJobs = min(g.smJobs, cfg.NumSMs, runtime.GOMAXPROCS(0))
 	parallel := g.smJobs > 1
 	g.memSys = dram.New(cfg, &g.shared)
 	g.net = noc.New(cfg.NumSMs, cfg.NoCBytesPerCycle, &g.shared)
@@ -283,9 +274,6 @@ func (g *GPU) RunContext(ctx context.Context, kernName string) (Result, error) {
 				anyBusy = true
 			}
 		}
-		if g.timelineInterval > 0 && cycle%g.timelineInterval == 0 {
-			g.sampleTimeline(cycle)
-		}
 		if g.tr != nil && g.tr.SampleDue(cycle) {
 			g.sampleTrace(cycle)
 		}
@@ -349,7 +337,6 @@ func (g *GPU) finish(kernName string, cycle int64, hitMax bool) Result {
 	if g.collectLoadStats {
 		res.LoadStats = g.sms[0].LoadStats()
 	}
-	res.Timeline = g.timeline
 	if g.eng != nil {
 		res.EngineStats = g.eng.prof
 	}
@@ -370,9 +357,7 @@ func (g *GPU) finish(kernName string, cycle int64, hitMax bool) Result {
 // LSU queue that is empty or blocked until a fill arrives, no issuable
 // warp). The only architectural traces such a cycle leaves in a
 // cycle-by-cycle run are one issue-stall count, one L1 stall where the LSU
-// is blocked, and the cycle stamp per live SM — SkipIdle writes all three —
-// plus any timeline samples due in the gap, emitted here with the
-// (unchanged) instruction count.
+// is blocked, and the cycle stamp per live SM — SkipIdle writes all three.
 func (g *GPU) skipTo(cycle, maxCycles int64) int64 {
 	next := maxCycles
 	anyLive := false
@@ -432,11 +417,6 @@ func (g *GPU) skipTo(cycle, maxCycles int64) int64 {
 			g.eng.drainStep(from, nil)
 		}
 	}
-	if iv := g.timelineInterval; iv > 0 {
-		for m := from + (iv-from%iv)%iv; m <= to; m += iv {
-			g.sampleTimeline(m)
-		}
-	}
 	if g.tr != nil {
 		// Window boundaries inside the gap get samples with the (frozen)
 		// gauges: every component is provably inert across the skipped
@@ -464,15 +444,6 @@ func (g *GPU) sampleTrace(cycle int64) {
 	}
 	gg.DRAMQueueDepth = g.memSys.QueueDepth()
 	g.tr.RecordSample(cycle, gg)
-}
-
-// sampleTimeline appends one progress sample at the given cycle.
-func (g *GPU) sampleTimeline(cycle int64) {
-	var insts int64
-	for i := range g.smStats {
-		insts += g.smStats[i].Instructions
-	}
-	g.timeline = append(g.timeline, TimelinePoint{Cycle: cycle, Instructions: insts})
 }
 
 // Simulate is the one-call convenience API: build a GPU for cfg and kern,

@@ -74,12 +74,12 @@ type equivRun struct {
 }
 
 // runEquivCell executes one engine variant on one matrix cell with the
-// standard observability options (timeline + load stats, plus a collecting
+// standard observability options (load stats, plus a collecting
 // tracer when traced), so every field of the run can be compared
 // bit-for-bit against another variant.
 func runEquivCell(t *testing.T, c matrixCase, traced bool, extra ...Option) equivRun {
 	t.Helper()
-	opts := append([]Option{WithTimeline(64), WithLoadStats()}, extra...)
+	opts := append([]Option{WithLoadStats()}, extra...)
 	var sink *trace.CollectSink
 	var tr *trace.Tracer
 	if traced {
@@ -117,7 +117,7 @@ func countByCategory(evs []trace.Event) map[string]int {
 }
 
 // requireSameRun asserts two runs are bit-identical in every observable:
-// cycle count, aggregate and per-SM stats, timeline, load characterisation,
+// cycle count, aggregate and per-SM stats, load characterisation,
 // the whole Result, and (for traced runs) the event stream and interval
 // series element by element. Any divergence is a correctness bug in an
 // engine variant, never acceptable drift.
@@ -135,10 +135,6 @@ func requireSameRun(t *testing.T, label string, want, got equivRun) {
 	}
 	if !reflect.DeepEqual(want.Res.PerSM, got.Res.PerSM) {
 		t.Fatalf("%s: per-SM stats diverge:\nwant: %+v\ngot:  %+v", label, want.Res.PerSM, got.Res.PerSM)
-	}
-	if !reflect.DeepEqual(want.Res.Timeline, got.Res.Timeline) {
-		t.Fatalf("%s: timelines diverge: want %d samples, got %d\nwant: %+v\ngot:  %+v",
-			label, len(want.Res.Timeline), len(got.Res.Timeline), want.Res.Timeline, got.Res.Timeline)
 	}
 	if !reflect.DeepEqual(want.Res, got.Res) {
 		t.Fatalf("%s: results diverge outside the fields above (LoadStats or flags):\nwant: %+v\ngot:  %+v",

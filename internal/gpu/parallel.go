@@ -77,11 +77,12 @@
 // contiguous block of SMs, and an epoch is handed over through a
 // sequence-numbered barrier (epochBarrier) rather than a channel send and a
 // wake-up per epoch: both sides spin on cache-line-private atomics for a
-// bounded, self-tuned time and only then park, and they park at once when
-// GOMAXPROCS cannot run every worker. The words a worker writes every
-// cycle for an SM — its wakeup bound, port, schedule and epoch observations
-// here (smLane), its queue and credit in the NoC — sit in one padded slot
-// per SM, so cores working on neighbouring SMs never write the same line.
+// bounded, self-tuned time and only then park. New starts no more workers
+// than GOMAXPROCS, so each can have a processor to spin on. The words a
+// worker writes every cycle for an SM — its wakeup bound, port, schedule and
+// epoch observations here (smLane), its queue and credit in the NoC — sit in
+// one padded slot per SM, so cores working on neighbouring SMs never write
+// the same line.
 //
 // Tracing. A traced run takes exactly the windows an untraced one does.
 // Each SM emits into its own local tracer — its NoC injections and
@@ -291,9 +292,7 @@ type engineScratch struct {
 	sched   [][]dram.Scheduled
 	hi      []int
 	ri      []int
-	tlBound []int64
 	trBound []int64
-	tlSnap  [][]int64
 	trSnap  [][]trace.Gauges
 	pendTr  []pendingSample
 	ports   [][]bufferedReq
@@ -322,10 +321,6 @@ type parallelEngine struct {
 	prof stats.EngineStats
 	// stamp is the last phase boundary the profile was charged up to.
 	stamp time.Time
-	// canSpin is whether Go has a processor for every worker; without that
-	// a polling waiter only delays the goroutine it waits for, so both sides
-	// of the barrier park at once.
-	canSpin bool
 
 	// hi/ri are per-SM cursors into local event streams / request buffers,
 	// used by the single-threaded barrier drain.
@@ -335,9 +330,7 @@ type parallelEngine struct {
 	// Interval-sampling boundaries inside the current epoch and the per-SM
 	// gauge snapshots workers record at each of them (values are frozen
 	// across skipped/idle cycles, exactly like the serial sampler's).
-	tlBound []int64
 	trBound []int64
-	tlSnap  [][]int64
 	trSnap  [][]trace.Gauges
 	pendTr  []pendingSample
 
@@ -354,10 +347,7 @@ type parallelEngine struct {
 
 func newParallelEngine(g *GPU) *parallelEngine {
 	n := len(g.sms)
-	jobs := g.smJobs
-	if jobs > n {
-		jobs = n
-	}
+	jobs := g.smJobs // New clamped it to n
 	minLat := int64(g.cfg.L2Latency)
 	if d := int64(g.cfg.DRAMLatency); d < minLat {
 		minLat = d
@@ -369,7 +359,6 @@ func newParallelEngine(g *GPU) *parallelEngine {
 	sc.sched = resizeSnap(sc.sched, n)
 	sc.hi = resizeSnap(sc.hi, n)
 	sc.ri = resizeSnap(sc.ri, n)
-	sc.tlSnap = resizeSnap(sc.tlSnap, n)
 	sc.trSnap = resizeSnap(sc.trSnap, n)
 	sc.ports = resizeSnap(sc.ports, n)
 	for i := range g.lanes {
@@ -382,14 +371,11 @@ func newParallelEngine(g *GPU) *parallelEngine {
 		traced:  g.tr != nil,
 		minLat:  minLat,
 		retLeg:  g.memSys.ReturnLeg(),
-		prof:    stats.EngineStats{SMJobs: g.smJobs},
+		prof:    stats.EngineStats{SMJobs: jobs},
 		stamp:   time.Now(),
-		canSpin: runtime.GOMAXPROCS(0) >= jobs,
 		hi:      sc.hi,
 		ri:      sc.ri,
-		tlBound: sc.tlBound[:0],
 		trBound: sc.trBound[:0],
-		tlSnap:  sc.tlSnap,
 		trSnap:  sc.trSnap,
 		pendTr:  sc.pendTr[:0],
 		sc:      sc,
@@ -414,7 +400,6 @@ func (e *parallelEngine) stop() {
 	e.awaitWorkers(0)
 	e.g.memSys.TrackFills(false)
 	sc := e.sc
-	sc.tlBound = e.tlBound
 	sc.trBound = e.trBound
 	sc.pendTr = e.pendTr[:0]
 	for i := range e.g.lanes {
@@ -517,7 +502,7 @@ func (e *parallelEngine) advanceSM(i int, from, to int64) {
 	sm := g.sms[i]
 	ln := &g.lanes[i].smLaneState
 	lt := ln.port.tr
-	ti, si := 0, 0
+	si := 0
 	c := from
 	// nd is a conservative-early bound on the SM's next possible delivery
 	// cycle; Deliver is only called when c reaches it, which banks credit at
@@ -584,7 +569,6 @@ func (e *parallelEngine) advanceSM(i int, from, to int64) {
 				end = sch[k].EnqueueCycle - 1
 			}
 			sm.SkipIdle(c, end)
-			ti = e.snapTimeline(i, ti, end)
 			si = e.snapTrace(i, si, end)
 			c = end + 1
 			continue
@@ -609,24 +593,12 @@ func (e *parallelEngine) advanceSM(i int, from, to int64) {
 				})
 			}
 		}
-		ti = e.snapTimeline(i, ti, c)
 		si = e.snapTrace(i, si, c)
 		c++
 	}
 	ln.sched = sch
 	// Remaining boundaries (SM done, or loop exhausted) see frozen gauges.
-	e.snapTimeline(i, ti, to)
 	e.snapTrace(i, si, to)
-}
-
-// snapTimeline records SM i's timeline gauge for every boundary up to and
-// including upTo, starting at boundary index idx; returns the next index.
-func (e *parallelEngine) snapTimeline(i, idx int, upTo int64) int {
-	for idx < len(e.tlBound) && e.tlBound[idx] <= upTo {
-		e.tlSnap[i][idx] = e.g.smStats[i].Instructions
-		idx++
-	}
-	return idx
 }
 
 // snapTrace records SM i's interval-sample gauges for every boundary up to
@@ -699,14 +671,12 @@ func (e *parallelEngine) prepareEpoch(from, to int64) {
 		ln := &lanes[s.Resp.Req.SM]
 		ln.sched = append(ln.sched, s)
 	}
-	e.tlBound = appendBounds(e.tlBound[:0], from, to, e.g.timelineInterval)
 	var trIv int64
 	if e.traced {
 		trIv = e.g.tr.Interval()
 	}
 	e.trBound = appendBounds(e.trBound[:0], from, to, trIv)
-	for i := range e.tlSnap {
-		e.tlSnap[i] = resizeSnap(e.tlSnap[i], len(e.tlBound))
+	for i := range e.trSnap {
 		e.trSnap[i] = resizeSnap(e.trSnap[i], len(e.trBound))
 	}
 	e.pendTr = e.pendTr[:0]
@@ -779,7 +749,7 @@ func (e *parallelEngine) lap(phase *int64) {
 // a few times the mean serial section so far — the wait a worker normally
 // sees between epochs, of which the first epoch knows nothing, so it parks.
 func (e *parallelEngine) spinBudget() time.Duration {
-	if !e.canSpin || e.prof.Epochs == 0 {
+	if e.prof.Epochs == 0 {
 		return 0
 	}
 	serial := time.Duration((e.prof.PrepareNS + e.prof.DrainNS) / e.prof.Epochs)
@@ -917,25 +887,14 @@ func (e *parallelEngine) splice(c int64, resp []dram.Response) {
 	}
 }
 
-// emitSamples publishes the epoch's timeline points and interval samples up
-// to and including cycle end (the termination cycle, or the epoch end).
+// emitSamples publishes the epoch's interval samples up to and including
+// cycle end (the termination cycle, or the epoch end).
 func (e *parallelEngine) emitSamples(end int64) {
-	g := e.g
-	for bi, c := range e.tlBound {
-		if c > end {
-			break
-		}
-		var insts int64
-		for i := range e.tlSnap {
-			insts += e.tlSnap[i][bi]
-		}
-		g.timeline = append(g.timeline, TimelinePoint{Cycle: c, Instructions: insts})
-	}
 	for _, ps := range e.pendTr {
 		if ps.cycle > end {
 			break
 		}
-		g.tr.RecordSample(ps.cycle, ps.gg)
+		e.g.tr.RecordSample(ps.cycle, ps.gg)
 	}
 }
 
@@ -1034,9 +993,6 @@ func (g *GPU) runParallel(ctx context.Context, kernName string) (Result, error) 
 				g.tickSM(i, cycle)
 			}
 			e.drainStep(cycle, enqueued)
-			if g.timelineInterval > 0 && cycle%g.timelineInterval == 0 {
-				g.sampleTimeline(cycle)
-			}
 			if traced && g.tr.SampleDue(cycle) {
 				g.sampleTrace(cycle)
 			}

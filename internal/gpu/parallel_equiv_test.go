@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"apres/internal/config"
 	"apres/internal/stats"
 	"apres/internal/workloads"
 	"apres/internal/workspec"
@@ -13,7 +14,18 @@ import (
 // parallelWorkerCounts are the WithParallelSMs values the differential
 // suite pins: 1 (must take the serial path), 2 and 4 (uneven partitions of
 // the 5-SM shrink), and 8 (more workers than SMs, exercising the clamp).
+// The suites that run them raise GOMAXPROCS to 8 first (atLeastProcs), so
+// the processor clamp leaves every partition to run.
 var parallelWorkerCounts = []int{1, 2, 4, 8}
+
+// atLeastProcs raises GOMAXPROCS to n until t and all its subtests are done,
+// so New does not clamp WithParallelSMs(n) below n on a smaller host.
+func atLeastProcs(t testing.TB, n int) {
+	if prev := runtime.GOMAXPROCS(0); prev < n {
+		runtime.GOMAXPROCS(n)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
+}
 
 // parallelEquivSMs uses 5 SMs so worker counts 2 and 4 produce uneven
 // partitions (the case where a naive merge order would diverge first) while
@@ -23,34 +35,17 @@ const parallelEquivSMs = 5
 // TestParallelEquivalence is the acceptance story of the parallel engine:
 // for every workload and configuration, a run sharded across n worker
 // goroutines must be bit-identical to the serial reference — same cycle
-// count, same aggregate and per-SM statistics, same timeline, same per-PC
-// load characterisation, and (in the traced variant) the same event stream
+// count, same aggregate and per-SM statistics, same per-PC load
+// characterisation, and (in the traced variant) the same event stream
 // and interval series element by element. This is the Accel-Sim-style
 // contract that makes the parallel model trustworthy: it is not an
 // approximation of the serial one, it *is* the serial one, faster.
 func TestParallelEquivalence(t *testing.T) {
-	parallelEquivalenceMatrix(t, parallelWorkerCounts)
-}
-
-// TestParallelEquivalenceOneProc repeats the whole matrix with a single
-// processor for Go to schedule on, where no worker can run while another
-// goroutine polls: every hand-off goes through the barrier's park/signal
-// path (TestSpinBudget pins that it spins for no time at all), and a lost
-// wake-up there would hang the run.
-func TestParallelEquivalenceOneProc(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	// The group returns only once its parallel subtests have finished, which
-	// is what keeps them inside the GOMAXPROCS(1) section.
-	t.Run("matrix", func(t *testing.T) {
-		parallelEquivalenceMatrix(t, []int{2, 4, 8})
-	})
-}
-
-func parallelEquivalenceMatrix(t *testing.T, workers []int) {
+	atLeastProcs(t, 8)
 	runMatrix(t, parallelEquivSMs, func(t *testing.T, c matrixCase) {
 		serial := runEquivCell(t, c, false)
 		serialTr := runEquivCell(t, c, true)
-		for _, n := range workers {
+		for _, n := range parallelWorkerCounts {
 			par := runEquivCell(t, c, false, WithParallelSMs(n))
 			requireSameRun(t, fmt.Sprintf("par%d", n), serial, par)
 			parTr := runEquivCell(t, c, true, WithParallelSMs(n))
@@ -58,6 +53,44 @@ func parallelEquivalenceMatrix(t *testing.T, workers []int) {
 			requireSameRegime(t, fmt.Sprintf("par%d", n), par.Res.EngineStats, parTr.Res.EngineStats)
 		}
 	})
+}
+
+// TestParallelEquivalenceOneProc pins the processor clamp at its floor: with
+// one processor for Go to schedule on, WithParallelSMs(8) must run the
+// serial engine — no epochs, no workers — traced and untraced. The barrier's
+// park/signal path, which this matrix used to drive when workers outnumbered
+// processors, has its own hand-off test (TestBarrierPingPongOneProc).
+func TestParallelEquivalenceOneProc(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	// The group returns only once its parallel subtests have finished, which
+	// is what keeps them inside the GOMAXPROCS(1) section.
+	t.Run("matrix", func(t *testing.T) {
+		runMatrix(t, parallelEquivSMs, func(t *testing.T, c matrixCase) {
+			for _, traced := range []bool{false, true} {
+				par := runEquivCell(t, c, traced, WithParallelSMs(8))
+				if es := par.Res.EngineStats; es != (stats.EngineStats{}) {
+					t.Fatalf("traced=%v: WithParallelSMs(8) at GOMAXPROCS 1 ran an engine: %+v", traced, es)
+				}
+				requireSameRun(t, fmt.Sprintf("par8 traced=%v", traced), runEquivCell(t, c, traced), par)
+			}
+		})
+	})
+}
+
+// TestParallelSMsClampedToProcs asks for more workers than GOMAXPROCS: the
+// run must report the clamped count and stay bit-identical to serial.
+func TestParallelSMsClampedToProcs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, w := range []string{"SP", "KM"} {
+		wl, _ := workloads.ByName(w)
+		c := matrixCase{WName: w, CName: "base", Cfg: config.Baseline(), Kern: wl.Kernel.Scaled(equivScale)}
+		c.Cfg.NumSMs = parallelEquivSMs
+		par := runEquivCell(t, c, false, WithParallelSMs(8))
+		if got := par.Res.EngineStats.SMJobs; got != 2 {
+			t.Errorf("%s: WithParallelSMs(8) at GOMAXPROCS 2 reports SMJobs %d, want 2", w, got)
+		}
+		requireSameRun(t, w+"/par8@2", runEquivCell(t, c, false), par)
+	}
 }
 
 // requireSameRegime asserts that a traced parallel run planned, fanned out
@@ -79,6 +112,7 @@ func requireSameRegime(t *testing.T, label string, untraced, traced stats.Engine
 // cache — a bug in either shows up in exactly one of the two parallel
 // suites.
 func TestParallelNoSkipEquivalence(t *testing.T) {
+	atLeastProcs(t, 4)
 	runMatrix(t, parallelEquivSMs, func(t *testing.T, c matrixCase) {
 		serial := runEquivCell(t, c, false)
 		for _, n := range []int{2, 4} {
@@ -103,6 +137,7 @@ func TestFillStormParallelEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	atLeastProcs(t, 8)
 	for _, cc := range equivConfigs() {
 		c := matrixCase{
 			WName: w.Name(),
@@ -141,6 +176,7 @@ func TestKMFullScaleParallelEquivalence(t *testing.T) {
 	if !ok {
 		t.Fatal("unknown workload KM")
 	}
+	atLeastProcs(t, 4)
 	for _, cc := range equivConfigs()[:2] { // base, apres
 		c := matrixCase{WName: w.Name(), CName: cc.name, Cfg: cc.cfg, Kern: w.Kernel}
 		t.Run(c.CName, func(t *testing.T) {

@@ -8,10 +8,10 @@ import (
 // TestSkipEquivalence is the tentpole guarantee of the event-driven run
 // loop: for every workload and configuration, a run with cycle skipping
 // enabled must produce a Result bit-identical to the cycle-by-cycle run —
-// same cycles, same per-SM stats, same timeline samples, same per-PC load
-// characterisation. Any divergence means a skipped cycle was not actually
-// inert, which is a correctness bug in a NextWakeup/NextEventCycle/
-// NextDeliveryCycle bound, never an acceptable drift.
+// same cycles, same per-SM stats, same per-PC load characterisation. Any
+// divergence means a skipped cycle was not actually inert, which is a
+// correctness bug in a NextWakeup/NextEventCycle/NextDeliveryCycle bound,
+// never an acceptable drift.
 func TestSkipEquivalence(t *testing.T) {
 	runMatrix(t, 2, func(t *testing.T, c matrixCase) {
 		skip := runEquivCell(t, c, false)

@@ -95,7 +95,7 @@ func (r *Runner) TwinSpeedups(app, cfgName string) (map[string]float64, error) {
 }
 
 // TwinDRAMPoint is one point of an analytically predicted DRAM-bandwidth
-// sweep (the SweepDRAMBandwidth axis answered by the twin).
+// sweep.
 type TwinDRAMPoint struct {
 	// Interval is the DRAM per-partition service interval in cycles
 	// (smaller = more bandwidth).
@@ -103,14 +103,14 @@ type TwinDRAMPoint struct {
 	// IPC is the twin-predicted throughput at this interval.
 	IPC float64 `json:"ipc"`
 	// Speedup is predicted execution time relative to the sweep's first
-	// point, mirroring harness.Sweep semantics.
+	// point.
 	Speedup float64 `json:"speedup"`
 }
 
 // TwinDRAMBandwidth predicts the DRAM-bandwidth sensitivity of one
 // workload analytically: the named configuration evaluated at each
 // per-partition service interval, with speedups normalised to the first
-// point like SweepDRAMBandwidth.
+// point.
 func (r *Runner) TwinDRAMBandwidth(app, cfgName string, intervals []int) ([]TwinDRAMPoint, error) {
 	if len(intervals) == 0 {
 		return nil, fmt.Errorf("harness: no DRAM service intervals given")

@@ -95,10 +95,6 @@ type Runner struct {
 	Scale float64
 	// SMs overrides the SM count when nonzero.
 	SMs int
-	// Adjust, when non-nil, post-processes every configuration (used by
-	// ablation benches to tweak APRES structure sizes). It may run from
-	// several workers at once, so it must not keep state across calls.
-	Adjust func(*config.Config)
 	// Jobs bounds how many simulations execute concurrently (the worker
 	// pool size); 0 means GOMAXPROCS. Set it before the first run.
 	Jobs int
@@ -111,8 +107,7 @@ type Runner struct {
 	// Store, when non-nil, persists results on disk keyed by a content
 	// hash of the exact run (workload, scale, full config, version stamp),
 	// so warm results survive process restarts and are shared between the
-	// CLIs and the daemon. Runs under a non-nil Adjust hook bypass the
-	// store: the hook's effect cannot be content-addressed.
+	// CLIs and the daemon.
 	Store *resultstore.Store
 	// EngineDefault serves every Request that names no engine (the paper
 	// figures, for one), so a whole experiment suite can be answered
@@ -282,8 +277,8 @@ type Outcome struct {
 	// cycle-accurate.
 	Bound twin.Bounds
 	// Key is the run's content address in the persistent store, where
-	// Result can be fetched again; "" when the Runner has no store, an
-	// Adjust hook makes its runs non-addressable, or the run was traced.
+	// Result can be fetched again; "" when the Runner has no store or the
+	// run was traced.
 	Key string
 	// Cached reports that Result was found — in the memo or in the store —
 	// rather than computed by this call. It is set where the hit happens.
@@ -320,10 +315,9 @@ type job struct {
 // address returns the job's content address in the store, hashing it on
 // first use (a memo hit never needs to). It covers the effective run, so
 // CLI and daemon processes with the same settings share entries; it is ""
-// without a store and under Adjust, whose effect cannot be
-// content-addressed.
+// without a store.
 func (r *Runner) address(c *job) string {
-	if c.key == "" && r.Store != nil && r.Adjust == nil {
+	if c.key == "" && r.Store != nil {
 		c.key = resultstore.Key(c.cell.Workload, r.Scale, c.cell.LoadStats, c.Inline, c.vstamp)
 	}
 	return c.key
@@ -350,9 +344,8 @@ func (r *Runner) workload(c *job) (workloads.Workload, error) {
 }
 
 // resolve turns a Request into the job that answers it: Resolve, unless the
-// caller already did, then the SM-count override and the Adjust hook
-// (re-validated, because a hook can break a configuration), so the
-// simulator, the twin and the store key all see one configuration.
+// caller already did, then the SM-count override, so the simulator, the twin
+// and the store key all see one configuration.
 func (r *Runner) resolve(req Request) (job, error) {
 	if req.cell == (Cell{}) {
 		var err error
@@ -369,12 +362,6 @@ func (r *Runner) resolve(req Request) (job, error) {
 	}
 	if r.SMs > 0 {
 		c.Inline.NumSMs = r.SMs
-	}
-	if r.Adjust != nil {
-		r.Adjust(&c.Inline)
-		if err := c.Inline.Validate(); err != nil {
-			return job{}, err
-		}
 	}
 	return c, nil
 }
@@ -617,17 +604,6 @@ func MemoryIntensiveApps() []string {
 	var out []string
 	for _, w := range workloads.MemoryIntensiveSet() {
 		out = append(out, w.Name())
-	}
-	return out
-}
-
-// CategoryApps returns the apps of one category in paper order.
-func CategoryApps(cat workloads.Category) []string {
-	var out []string
-	for _, w := range workloads.All() {
-		if w.Category == cat {
-			out = append(out, w.Name())
-		}
 	}
 	return out
 }

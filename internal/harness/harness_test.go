@@ -1,12 +1,14 @@
 package harness
 
 import (
+	"context"
 	"reflect"
 	"regexp"
 	"strings"
 	"testing"
 
 	"apres/internal/config"
+	"apres/internal/gpu"
 )
 
 // testRunner returns a heavily scaled-down runner so harness tests stay
@@ -265,18 +267,64 @@ func TestFig13To15Normalised(t *testing.T) {
 	}
 }
 
-func TestAdjustHook(t *testing.T) {
-	r := testRunner()
-	r.Adjust = func(c *config.Config) { c.SAPPTEntries = 1 }
-	if _, err := r.Run("SP", "apres"); err != nil {
-		t.Fatal(err)
+// TestConfigSensitivity keeps three properties of the timing model that the
+// paper's motivation rests on, each checked on inline-config cells through
+// Runner.Do: KM's L1 hit rate does not fall as the L1 grows (Figure 2's
+// axis), NW gets faster with more MSHRs, and statically throttling KM's
+// warps raises its hit rate (what CCWS does dynamically). A cell Do cannot
+// name — unknown workload or configuration, invalid inline point — is an
+// error.
+func TestConfigSensitivity(t *testing.T) {
+	hitRate := func(r gpu.Result) float64 { return r.Total.L1HitRate() }
+	speed := func(r gpu.Result) float64 { return 1 / float64(r.Cycles) }
+	for _, c := range []struct {
+		name, app string
+		scale     float64
+		sms       int
+		set       func(*config.Config, int)
+		points    []int
+		metric    func(gpu.Result) float64
+		strict    bool // each point must beat the last, not just match it
+	}{
+		{"KM/L1SizeKB", "KM", 0.15, 4, func(c *config.Config, v int) { c.L1SizeBytes = v * 1024 }, []int{32, 256, 2048}, hitRate, false},
+		{"NW/L1MSHRs", "NW", 0.1, 2, func(c *config.Config, v int) { c.L1MSHRs = v }, []int{4, 64}, speed, true},
+		{"KM/WarpsPerSM", "KM", 0.15, 2, func(c *config.Config, v int) { c.WarpsPerSM = v }, []int{48, 8}, hitRate, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if testing.Short() {
+				t.Skip("simulates every point")
+			}
+			r := NewRunner(c.scale, c.sms)
+			var prev float64
+			for i, v := range c.points {
+				cfg := config.Baseline()
+				c.set(&cfg, v)
+				res, err := result(r.Do(context.Background(), Request{Workload: c.app, Inline: cfg}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				m := c.metric(res)
+				t.Logf("%d: %g", v, m)
+				if i > 0 && (m < prev || c.strict && m == prev) {
+					t.Errorf("%s at %d: %g, not better than %g at %d", c.name, v, m, prev, c.points[i-1])
+				}
+				prev = m
+			}
+		})
 	}
-	// An Adjust that breaks the config must surface as an error.
-	r2 := testRunner()
-	r2.Adjust = func(c *config.Config) { c.NumSMs = 0 }
-	if _, err := r2.Run("SP", "base"); err == nil {
-		t.Fatal("invalid adjusted config accepted")
-	}
+	t.Run("errors", func(t *testing.T) {
+		bad := config.Baseline()
+		bad.L1SizeBytes = 0
+		for _, req := range []Request{
+			{Workload: "NOPE", Config: "base"},
+			{Workload: "KM", Config: "nope"},
+			{Workload: "KM", Inline: bad},
+		} {
+			if _, err := testRunner().Do(context.Background(), req); err == nil {
+				t.Errorf("%+v accepted", req)
+			}
+		}
+	})
 }
 
 // TestRunnerRunSurface keeps the run path single: Do, and the three
@@ -294,5 +342,21 @@ func TestRunnerRunSurface(t *testing.T) {
 	want := []string{"Do", "Run", "RunEngineNamed", "RunNamed"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Runner's run/peek/key methods = %v, want exactly %v", got, want)
+	}
+}
+
+// TestRunnerFields keeps the Runner's knobs fixed. A run whose configuration
+// differs is a different cell, named by an inline configuration's digest, so
+// a new field on the run path fails here.
+func TestRunnerFields(t *testing.T) {
+	var got []string
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Runner{})) {
+		if f.IsExported() {
+			got = append(got, f.Name)
+		}
+	}
+	want := []string{"Scale", "SMs", "Jobs", "SMJobs", "Store", "EngineDefault", "EngineTolerance"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Runner's exported fields = %v, want exactly %v", got, want)
 	}
 }

@@ -72,27 +72,6 @@ func TestStoreWarmAcrossRunners(t *testing.T) {
 	}
 }
 
-func TestStoreSkippedUnderAdjust(t *testing.T) {
-	dir := t.TempDir()
-	r := storeRunner(t, dir)
-	r.Adjust = func(c *config.Config) { c.SAPPTEntries = 5 }
-	out, err := r.Do(context.Background(), Request{Workload: "SP", Config: "apres"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Key != "" {
-		t.Fatalf("Key under Adjust = %q, want empty", out.Key)
-	}
-	// Nothing persisted: a fresh un-adjusted runner must simulate.
-	r2 := storeRunner(t, dir)
-	if _, err := r2.Run("SP", "apres"); err != nil {
-		t.Fatal(err)
-	}
-	if st := r2.Stats(); st.Simulations != 1 {
-		t.Fatalf("adjusted run leaked into the store: %+v", st)
-	}
-}
-
 func TestRunConfigSharesCacheAndStore(t *testing.T) {
 	dir := t.TempDir()
 	r := storeRunner(t, dir)

@@ -191,12 +191,6 @@ func NewCache(name string, sizeBytes, ways, mshrs int) *Cache {
 // Name returns the cache's name (for debugging and error text).
 func (c *Cache) Name() string { return c.name }
 
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.numSets }
-
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
-
 // MSHRCount returns the number of in-flight MSHR entries.
 func (c *Cache) MSHRCount() int { return c.mshr.Len() }
 

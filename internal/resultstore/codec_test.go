@@ -48,6 +48,10 @@ func codecEntries(tb testing.TB) map[string]Entry {
 	km, kmBounds := predict("KM")
 	bfs, bfsBounds := predict("BFS")
 	bfs.Timeline = []gpu.TimelinePoint{} // "[]", not null, on the way back
+	// No run records a timeline any more, but entries written while runs
+	// did still hold one; the codec must keep carrying it.
+	withTimeline := exact("KM", cfg, gpu.WithLoadStats())
+	withTimeline.Timeline = []gpu.TimelinePoint{{Cycle: 400, Instructions: 5120}, {Cycle: 800, Instructions: 11264}}
 
 	utc := time.Date(2026, 3, 14, 15, 9, 26, 535897932, time.UTC)
 	zoned := time.Date(2026, 3, 14, 15, 9, 26, 0, time.FixedZone("", -5*3600))
@@ -55,7 +59,7 @@ func codecEntries(tb testing.TB) map[string]Entry {
 		"exact":          {Engine: twin.EngineCycleAccurate, CreatedAt: utc, Result: exact("SP", cfg)},
 		"exact-untagged": {CreatedAt: zoned, Result: exact("NW", cfg)},
 		"loadstats-timeline": {LoadStats: true, Engine: twin.EngineCycleAccurate, CreatedAt: utc,
-			Result: exact("KM", cfg, gpu.WithLoadStats(), gpu.WithTimeline(400))},
+			Result: withTimeline},
 		"maxcycles": {Engine: twin.EngineCycleAccurate, CreatedAt: utc, Result: exact("BFS", bounded)},
 		"twin": {Engine: twin.EngineTwin, ErrorBoundIPC: kmBounds.IPCRel, ErrorBoundL1: kmBounds.L1HitAbs,
 			CreatedAt: utc, Result: km},

@@ -23,6 +23,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -120,6 +121,11 @@ func do(t *testing.T, method, url string, body any) []byte {
 var contractSweep = server.SweepRequest{Workloads: []string{"BFS", "KM"}, Configs: []string{"base", "apres"}}
 
 func TestContractWorker(t *testing.T) {
+	// simulate_inline_config.json asks for sm_jobs 2; its EngineStats and
+	// the metrics' smjobs="2" series need two processors for New's clamp.
+	if prev := runtime.GOMAXPROCS(0); prev < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
 	storeDir := t.TempDir()
 	ts := httptest.NewServer(server.New(server.Options{
 		Runner:   contractRunner(t, storeDir),

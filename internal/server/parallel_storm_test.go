@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -33,9 +34,15 @@ var stormJobs = []int{0, 2, 4, 8}
 
 // stormServer returns a test server whose Runner uses 5 SMs (uneven
 // partitions for every worker count above) and the given default SM
-// parallelism, persisting into dir.
+// parallelism, persisting into dir. It raises GOMAXPROCS to 8 for the rest
+// of the test, so the engine's processor clamp leaves every worker count
+// above to run on any host.
 func stormServer(t *testing.T, dir string, smJobs int) (*httptest.Server, func()) {
 	t.Helper()
+	if prev := runtime.GOMAXPROCS(0); prev < 8 {
+		runtime.GOMAXPROCS(8)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
 	s, r := newTestServer(t, dir, 0)
 	r.SMs = 5
 	r.SMJobs = smJobs

@@ -42,7 +42,8 @@ func TestPredictLatency(t *testing.T) {
 	}
 	per := time.Since(start) / n
 	// Acceptance target is <100µs; the test gate is looser so a loaded CI
-	// host cannot flake it. BenchmarkTwinThroughput measures the real number.
+	// host cannot flake it. `go run ./bench` measures the real number
+	// (twin.predict_us).
 	if per > 500*time.Microsecond {
 		t.Errorf("steady-state Predict took %v per query, want < 500µs", per)
 	}
