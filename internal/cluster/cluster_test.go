@@ -10,6 +10,9 @@ package cluster
 //     re-dispatch to the survivors;
 //   - a worker that sheds with 429 has its cells migrated without being
 //     marked dead and without any duplicate simulation;
+//   - a sweep sends each worker one sub-sweep per configuration, and a
+//     worker whose 200 does not carry exactly its batch's cells is charged
+//     a failure while its cells re-dispatch;
 //   - /v1/simulate proxies to a worker verbatim, trace requests are
 //     rejected 400, and the join/status/healthz control plane behaves.
 //
@@ -19,20 +22,27 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"apres/internal/harness"
 	"apres/internal/resultstore"
 	"apres/internal/server"
+	"apres/internal/twin"
 	"apres/internal/workloads"
+	"apres/internal/workspec"
 )
 
 // testOptions returns coordinator options tuned for fast, deterministic
@@ -52,6 +62,16 @@ func testOptions(nodes ...string) Options {
 // newWorker starts one apresd worker over a (possibly shared) store dir.
 func newWorker(t *testing.T, storeDir string) (*httptest.Server, *harness.Runner) {
 	t.Helper()
+	h, r := newWorkerHandler(t, storeDir)
+	ts := httptest.NewServer(h)
+	t.Cleanup(ts.Close)
+	return ts, r
+}
+
+// newWorkerHandler is one worker's handler over a (possibly shared) store
+// dir; "" runs it without a store.
+func newWorkerHandler(t *testing.T, storeDir string) (http.Handler, *harness.Runner) {
+	t.Helper()
 	r := harness.NewRunner(0.05, 2)
 	r.Jobs = 8
 	if storeDir != "" {
@@ -61,9 +81,7 @@ func newWorker(t *testing.T, storeDir string) (*httptest.Server, *harness.Runner
 		}
 		r.Store = st
 	}
-	ts := httptest.NewServer(server.New(server.Options{Runner: r}))
-	t.Cleanup(ts.Close)
-	return ts, r
+	return server.New(server.Options{Runner: r}), r
 }
 
 // matrix returns the full 15-workload x 2-config sweep request. 30 cells
@@ -622,5 +640,509 @@ func TestJoinStatusAndHealthz(t *testing.T) {
 		if !bytes.Contains(mdata, []byte(want)) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+}
+
+// sweepMeter wraps a worker handler and records its /v1/sweep requests: how
+// many, the most cells one carried, and the most cells in flight at once
+// summed over concurrent requests.
+type sweepMeter struct {
+	inner http.Handler
+	n     atomic.Int64
+
+	mu                    sync.Mutex
+	inflight, maxInflight int
+	maxCells              int
+}
+
+func (s *sweepMeter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path != "/v1/sweep" {
+		s.inner.ServeHTTP(w, r)
+		return
+	}
+	s.n.Add(1)
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	r.Body = io.NopCloser(bytes.NewReader(body))
+	var req server.SweepRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	cells := (len(req.Workloads) + len(req.Specs)) * len(req.Configs)
+	s.mu.Lock()
+	s.inflight += cells
+	s.maxInflight = max(s.maxInflight, s.inflight)
+	s.maxCells = max(s.maxCells, cells)
+	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		s.inflight -= cells
+		s.mu.Unlock()
+	}()
+	s.inner.ServeHTTP(w, r)
+}
+
+// peaks returns the most cells one request carried and the most in flight
+// at once.
+func (s *sweepMeter) peaks() (cells, inflight int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.maxCells, s.maxInflight
+}
+
+// TestSweepBatchesPerOwnerAndConfig pins the dispatch granularity: a sweep
+// sends each worker one sub-sweep per configuration it owns cells under, so
+// the 30-cell matrix over 3 workers takes at most 2 configs × 3 nodes = 6
+// worker requests, cold or warm, never one per cell. Per-cell counters keep
+// their meaning: the warm sweep's dispatched cells sum to the matrix size.
+func TestSweepBatchesPerOwnerAndConfig(t *testing.T) {
+	shared := t.TempDir()
+	var urls []string
+	var runners []*harness.Runner
+	var counters []*sweepMeter
+	for i := 0; i < 3; i++ {
+		h, r := newWorkerHandler(t, shared)
+		sc := &sweepMeter{inner: h}
+		ts := httptest.NewServer(sc)
+		t.Cleanup(ts.Close)
+		urls, runners, counters = append(urls, ts.URL), append(runners, r), append(counters, sc)
+	}
+	coord, err := New(testOptions(urls...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := httptest.NewServer(NewServer(coord))
+	defer cs.Close()
+
+	req := matrix()
+	cells := len(req.Workloads) * len(req.Configs)
+	maxRequests := int64(len(req.Configs) * len(urls))
+	requests := func() (n int64) {
+		for _, sc := range counters {
+			n += sc.n.Swap(0)
+		}
+		return n
+	}
+	sims := func() (n int64) {
+		for _, r := range runners {
+			n += r.Stats().Simulations
+		}
+		return n
+	}
+	dispatched := func() (n int64) {
+		for _, ns := range coord.Status().Nodes {
+			n += ns.Dispatched
+		}
+		return n
+	}
+
+	resp, data := postSweep(t, cs.URL, req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cold sweep: %d (%s)", resp.StatusCode, data)
+	}
+	normalize(t, data) // fails the test on any cell error
+	if n := requests(); n > maxRequests {
+		t.Errorf("cold sweep sent %d worker requests for %d cells, want at most %d", n, cells, maxRequests)
+	}
+	coldSims, coldDispatched := sims(), dispatched()
+
+	resp, data = postSweep(t, cs.URL, req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("warm sweep: %d (%s)", resp.StatusCode, data)
+	}
+	if n := requests(); n > maxRequests {
+		t.Errorf("warm sweep sent %d worker requests for %d cells, want at most %d", n, cells, maxRequests)
+	}
+	var warm server.SweepResponse
+	if err := json.Unmarshal(data, &warm); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range warm.Cells {
+		if !c.Cached || c.Error != "" {
+			t.Errorf("warm cell %d (%s/%s): cached %v, error %q", i, c.Workload, c.Config, c.Cached, c.Error)
+		}
+	}
+	if n := sims() - coldSims; n != 0 {
+		t.Errorf("warm sweep ran %d new simulations, want 0", n)
+	}
+	if n := dispatched() - coldDispatched; n != int64(cells) {
+		t.Errorf("warm sweep dispatched %d cells, want %d", n, cells)
+	}
+}
+
+// namedPool serves handlers under fixed host names (http://<name>:80): a
+// dialer maps each name to its httptest listener. Rendezvous ranking hashes
+// node URLs, so fixed names give a test a placement it can choose.
+func namedPool(t *testing.T, handlers map[string]http.Handler) *http.Client {
+	t.Helper()
+	addrs := make(map[string]string)
+	for name, h := range handlers {
+		ts := httptest.NewServer(h)
+		t.Cleanup(ts.Close)
+		addrs[name+":80"] = ts.Listener.Addr().String()
+	}
+	var dialer net.Dialer
+	return &http.Client{Transport: &http.Transport{
+		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			if real, ok := addrs[addr]; ok {
+				addr = real
+			}
+			return dialer.DialContext(ctx, network, addr)
+		},
+	}}
+}
+
+// mangler answers a worker's /v1/sweep with the worker's own answer passed
+// through edit; other paths pass straight through.
+type mangler struct {
+	inner http.Handler
+	edit  func([]server.SweepCell) []server.SweepCell
+}
+
+func (m *mangler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path != "/v1/sweep" {
+		m.inner.ServeHTTP(w, r)
+		return
+	}
+	rec := httptest.NewRecorder()
+	m.inner.ServeHTTP(rec, r)
+	var resp server.SweepResponse
+	if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &resp) != nil {
+		w.WriteHeader(http.StatusInternalServerError)
+		return
+	}
+	resp.Cells = m.edit(resp.Cells)
+	server.WriteJSON(w, http.StatusOK, resp)
+}
+
+// TestMisbehavingBatch puts a worker first in every cell's rank order that
+// answers its sub-sweeps with a 200 the coordinator must not merge — one
+// cell short, or two cells swapped — or with a 400. A malformed 200 is
+// charged to the node and its cells re-dispatch to the healthy worker, so
+// the merged sweep still equals a single-node sweep; a 400 is terminal for
+// every cell of the batch.
+func TestMisbehavingBatch(t *testing.T) {
+	req := server.SweepRequest{Workloads: []string{"BFS", "KM", "SP"}, Configs: []string{"base", "apres"}}
+	cells, err := req.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first bad-<i> name that outranks the healthy worker for every
+	// cell, so every batch of the sweep goes to the misbehaving node first.
+	const good = "http://good.test:80"
+	var bad string
+	for i := 0; bad == ""; i++ {
+		cand := fmt.Sprintf("http://bad-%d.test:80", i)
+		owns := true
+		for _, c := range cells {
+			owns = owns && Rank(c.ID(req.LoadStats), []string{good, cand})[0] == cand
+		}
+		if owns {
+			bad = cand
+		}
+	}
+
+	single, _ := newWorker(t, t.TempDir())
+	sresp, sdata := postSweep(t, single.URL, req)
+	if sresp.StatusCode != http.StatusOK {
+		t.Fatalf("single-node sweep: %d (%s)", sresp.StatusCode, sdata)
+	}
+
+	for _, tc := range []struct {
+		name string
+		edit func([]server.SweepCell) []server.SweepCell
+	}{
+		{"short", func(c []server.SweepCell) []server.SweepCell { return c[:len(c)-1] }},
+		{"swapped", func(c []server.SweepCell) []server.SweepCell {
+			if len(c) > 1 {
+				c[0], c[1] = c[1], c[0]
+			}
+			return c
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Separate stores: every cell the healthy worker answers, it
+			// simulated itself.
+			healthy, hr := newWorkerHandler(t, t.TempDir())
+			badInner, _ := newWorkerHandler(t, t.TempDir())
+			opts := testOptions(good, bad)
+			opts.Client = namedPool(t, map[string]http.Handler{
+				"good.test":                      healthy,
+				bad[len("http://") : len(bad)-3]: &mangler{inner: badInner, edit: tc.edit},
+			})
+			coord, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cs := httptest.NewServer(NewServer(coord))
+			defer cs.Close()
+			resp, data := postSweep(t, cs.URL, req)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("cluster sweep: %d (%s)", resp.StatusCode, data)
+			}
+			if got, want := normalize(t, data), normalize(t, sdata); !bytes.Equal(got, want) {
+				t.Fatalf("merged sweep differs from single-node sweep:\n--- cluster ---\n%s\n--- single ---\n%s", got, want)
+			}
+			st := coord.Status()
+			for _, n := range st.Nodes {
+				switch {
+				case n.URL == bad && n.Failed == 0:
+					t.Error("the misbehaving worker was not charged a failure")
+				case n.URL == good && n.Dispatched != int64(len(cells)):
+					t.Errorf("healthy worker was dispatched %d cells, want all %d", n.Dispatched, len(cells))
+				}
+			}
+			if got := hr.Stats().Simulations; got != int64(len(cells)) {
+				t.Errorf("healthy worker simulated %d cells, want %d", got, len(cells))
+			}
+			if st.CellsFailed != 0 {
+				t.Errorf("%d cells failed, want 0", st.CellsFailed)
+			}
+		})
+	}
+
+	t.Run("400", func(t *testing.T) {
+		healthy, _ := newWorkerHandler(t, t.TempDir())
+		opts := testOptions(good, bad)
+		opts.Client = namedPool(t, map[string]http.Handler{
+			"good.test": healthy,
+			bad[len("http://") : len(bad)-3]: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				server.WriteError(w, http.StatusBadRequest, "refused")
+			}),
+		})
+		coord, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs := httptest.NewServer(NewServer(coord))
+		defer cs.Close()
+		resp, data := postSweep(t, cs.URL, req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("cluster sweep: %d (%s)", resp.StatusCode, data)
+		}
+		var out server.SweepResponse
+		if err := json.Unmarshal(data, &out); err != nil {
+			t.Fatal(err)
+		}
+		if len(out.Cells) != len(cells) {
+			t.Fatalf("%d cells, want %d", len(out.Cells), len(cells))
+		}
+		prefix := "cluster: node " + bad + ": status 400: "
+		for i, c := range out.Cells {
+			if !strings.HasPrefix(c.Error, prefix) || c.Workload != cells[i].Name() || c.Config != cells[i].Config {
+				t.Errorf("cell %d: %s/%s error %q, want %s/%s with a %q error", i, c.Workload, c.Config, c.Error, cells[i].Name(), cells[i].Config, prefix)
+			}
+		}
+		if st := coord.Status(); st.Retries != 0 {
+			t.Errorf("a 400 was retried %d times, want terminal", st.Retries)
+		}
+	})
+}
+
+// TestBatchesStayWithinInflightCap sweeps more cells onto one worker under
+// one configuration than a sub-sweep may carry. The coordinator splits the
+// group: no request carries more than min(PerNodeInflight, maxBatchCells)
+// cells, the cells in flight at the worker never exceed PerNodeInflight —
+// the bound a coordinator sending one cell per request keeps — and every
+// cell is answered without charging the worker.
+func TestBatchesStayWithinInflightCap(t *testing.T) {
+	repeated := make([]string, 3*maxBatchCells+1)
+	for i := range repeated {
+		repeated[i] = "BFS"
+	}
+	for _, tc := range []struct {
+		name     string
+		inflight int
+		req      server.SweepRequest
+	}{
+		{"inflight", 3, matrix()},
+		{"maxBatchCells", 1000, server.SweepRequest{Workloads: repeated, Configs: []string{"base"}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h, _ := newWorkerHandler(t, "")
+			meter := &sweepMeter{inner: h}
+			ts := httptest.NewServer(meter)
+			defer ts.Close()
+			opts := testOptions(ts.URL)
+			opts.PerNodeInflight = tc.inflight
+			coord, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cs := httptest.NewServer(NewServer(coord))
+			defer cs.Close()
+
+			resp, data := postSweep(t, cs.URL, tc.req)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("sweep: %d (%s)", resp.StatusCode, data)
+			}
+			var out server.SweepResponse
+			if err := json.Unmarshal(data, &out); err != nil {
+				t.Fatal(err)
+			}
+			want := len(tc.req.Workloads) * len(tc.req.Configs)
+			if len(out.Cells) != want {
+				t.Fatalf("%d cells, want %d", len(out.Cells), want)
+			}
+			for i, c := range out.Cells {
+				if c.Error != "" {
+					t.Errorf("cell %d (%s/%s): %s", i, c.Workload, c.Config, c.Error)
+				}
+			}
+			limit := min(tc.inflight, maxBatchCells)
+			cells, inflight := meter.peaks()
+			if cells > limit {
+				t.Errorf("a sub-sweep carried %d cells, want at most %d", cells, limit)
+			}
+			if inflight > tc.inflight {
+				t.Errorf("%d cells in flight at the worker, want at most PerNodeInflight = %d", inflight, tc.inflight)
+			}
+			if n, least := meter.n.Load(), int64((want+limit-1)/limit); n < least {
+				t.Errorf("%d worker requests, want at least %d", n, least)
+			}
+			if st := coord.Status(); st.Nodes[0].Failed != 0 || st.Retries != 0 || st.CellsFailed != 0 {
+				t.Errorf("worker charged: %+v", st)
+			}
+		})
+	}
+}
+
+// TestBatchAnswerFitsBodyBound pins the sizing behind maxBatchCells: a
+// sub-sweep answer of maxBatchCells cells, each with the longest labels a
+// resolved cell can carry and a 2 KiB error, stays under a sixteenth of
+// maxCellBody, the bound the coordinator reads a worker's answer through.
+func TestBatchAnswerFitsBodyBound(t *testing.T) {
+	cell := server.SweepCell{
+		Workload:   "spec:" + strings.Repeat("n", 64) + ":" + strings.Repeat("f", 12),
+		Config:     "cfg:" + strings.Repeat("f", 8),
+		Key:        strings.Repeat("f", 64),
+		Cached:     true,
+		Cycles:     1<<63 - 1,
+		IPC:        1.0 / 3,
+		L1HitRate:  2.0 / 3,
+		WallMS:     1<<63 - 1,
+		Error:      strings.Repeat("e", 2<<10),
+		Engine:     "cycle-accurate",
+		Escalated:  true,
+		ErrorBound: &twin.Bounds{IPCRel: 1.0 / 7, L1HitAbs: 1.0 / 9},
+	}
+	resp := server.SweepResponse{Cells: make([]server.SweepCell, maxBatchCells)}
+	for i := range resp.Cells {
+		resp.Cells[i] = cell
+	}
+	rec := httptest.NewRecorder()
+	server.WriteJSON(rec, http.StatusOK, resp)
+	if n := rec.Body.Len(); n >= maxCellBody/16 {
+		t.Errorf("a %d-cell answer takes %d bytes, want under %d", maxBatchCells, n, maxCellBody/16)
+	}
+}
+
+// TestWorkerTimeoutBoundsBatches runs cold sub-sweeps against a worker
+// whose per-request timeout covers only a few cells. The worker has one
+// pool slot and the coordinator two inflight cells, so one cell per request
+// would wait at most two cells' time; a batch must not wait longer. Sixteen
+// cells sent as one batch would take sixteen cells' time and answer 504,
+// charging the worker until it is marked dead. Here every cell is served,
+// the worker stays healthy and is never charged.
+func TestWorkerTimeoutBoundsBatches(t *testing.T) {
+	specs := func(prefix string, n int) []*workspec.Spec {
+		w, ok := workloads.ByName("SP")
+		if !ok {
+			t.Fatal("no SP workload")
+		}
+		out := make([]*workspec.Spec, n)
+		for i := range out {
+			sp, err := workspec.FromWorkload(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp.Name = fmt.Sprintf("%s-%02d", prefix, i)
+			out[i] = sp
+		}
+		return out
+	}
+	worker := func(timeout time.Duration) http.Handler {
+		r := harness.NewRunner(0.5, 2)
+		r.Jobs = 1
+		return server.New(server.Options{Runner: r, SimTimeout: timeout})
+	}
+
+	// Calibrate: two cold cells queued on the one slot, timed end to end.
+	cal := httptest.NewServer(worker(0))
+	defer cal.Close()
+	t0 := time.Now()
+	if resp, data := postSweep(t, cal.URL, server.SweepRequest{Specs: specs("cal", 2), Configs: []string{"base"}}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("calibration sweep: %d (%s)", resp.StatusCode, data)
+	}
+	twoCells := time.Since(t0)
+
+	meter := &sweepMeter{inner: worker(4 * twoCells)}
+	ts := httptest.NewServer(meter)
+	defer ts.Close()
+	opts := testOptions(ts.URL)
+	opts.PerNodeInflight = 2
+	coord, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := httptest.NewServer(NewServer(coord))
+	defer cs.Close()
+
+	req := server.SweepRequest{Specs: specs("cell", 16), Configs: []string{"base"}}
+	resp, data := postSweep(t, cs.URL, req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep: %d (%s)", resp.StatusCode, data)
+	}
+	var out server.SweepResponse
+	if err := json.Unmarshal(data, &out); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range out.Cells {
+		if c.Error != "" {
+			t.Errorf("cell %d (%s): %s", i, c.Workload, c.Error)
+		}
+	}
+	if _, inflight := meter.peaks(); inflight > opts.PerNodeInflight {
+		t.Errorf("%d cells in flight at the worker, want at most %d", inflight, opts.PerNodeInflight)
+	}
+	st := coord.Status()
+	if n := st.Nodes[0]; !n.Healthy || n.Failed != 0 || st.CellsFailed != 0 {
+		t.Errorf("worker charged under a per-request timeout of %v (two cells took %v): %+v", 4*twoCells, twoCells, st)
+	}
+}
+
+// TestProbeCountsUnreachableAsFailure pins the probe rule: a node that does
+// not answer /healthz stays in the pool until FailThreshold probes have
+// missed it, so a coordinator started before its workers keeps them; a
+// node that answers not ready (draining) leaves at once.
+func TestProbeCountsUnreachableAsFailure(t *testing.T) {
+	gone := httptest.NewServer(http.NotFoundHandler())
+	gone.Close()
+	draining := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		server.WriteJSON(w, http.StatusServiceUnavailable, server.HealthResponse{Status: "draining", Draining: true})
+	}))
+	defer draining.Close()
+	coord, err := New(testOptions(gone.URL, draining.URL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	healthy := func() map[string]bool {
+		out := make(map[string]bool)
+		for _, n := range coord.Status().Nodes {
+			out[n.URL] = n.Healthy
+		}
+		return out
+	}
+	coord.ProbeAll(context.Background())
+	if h := healthy(); !h[gone.URL] || h[draining.URL] {
+		t.Fatalf("after one probe: %v, want the unreachable node kept and the draining one out", h)
+	}
+	coord.ProbeAll(context.Background())
+	if h := healthy(); h[gone.URL] {
+		t.Fatalf("after %d missed probes the unreachable node is still healthy", testOptions().FailThreshold)
 	}
 }

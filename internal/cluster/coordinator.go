@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -26,6 +27,12 @@ var ErrNoNodes = errors.New("cluster: no live worker nodes")
 // request bound).
 const maxCellBody = 4 << 20
 
+// maxBatchCells caps the cells of one sub-sweep whatever PerNodeInflight
+// says, so a batch's answer stays far inside maxCellBody: one answer cell
+// is well under 4 KiB (its names are bounded by the resolver), and 64 of
+// them under a sixteenth of the bound.
+const maxBatchCells = 64
+
 // Options configures a Coordinator.
 type Options struct {
 	// Nodes are the initial worker base URLs ("http://host:port"). More
@@ -34,7 +41,8 @@ type Options struct {
 	// Client is the HTTP client used for dispatch and probing; nil uses a
 	// fresh default client (per-request deadlines come from contexts).
 	Client *http.Client
-	// CellTimeout bounds one dispatch attempt of one cell; 0 means 2m.
+	// CellTimeout is the per-cell budget of a dispatch attempt: a request
+	// carrying n cells gets n×CellTimeout; 0 means 2m.
 	CellTimeout time.Duration
 	// ProbeTimeout bounds one /healthz probe; 0 means 5s.
 	ProbeTimeout time.Duration
@@ -48,18 +56,23 @@ type Options struct {
 	// ShedPenalty is how long a 429 without a Retry-After header keeps the
 	// shedding node out of the rotation; 0 means 1s.
 	ShedPenalty time.Duration
-	// PerNodeInflight caps concurrent dispatches to one worker; 0 means 16.
+	// PerNodeInflight caps the cells in flight at one worker, summed over
+	// its concurrent requests, and so the cells of one sub-sweep; 0 means
+	// 16.
 	PerNodeInflight int
 	// MaxAttempts bounds total dispatch attempts per cell; 0 derives
 	// 4×pool size (minimum 8) at dispatch time.
 	MaxAttempts int
 }
 
-// node is one worker's coordinator-side state. All fields except url and
-// sem are guarded by Coordinator.mu; sem is itself a semaphore.
+// node is one worker's coordinator-side state. All fields except url, sem
+// and turn are guarded by Coordinator.mu; sem holds one token per cell in
+// flight at the worker, and turn admits one request at a time to take its
+// tokens, so two requests never each hold part of what both need.
 type node struct {
-	url string
-	sem chan struct{}
+	url  string
+	sem  chan struct{}
+	turn chan struct{}
 
 	healthy     bool
 	consecFails int
@@ -67,7 +80,7 @@ type node struct {
 	queueDepth  int
 	lastErr     string
 
-	dispatched int64 // attempts sent (including retries landing here)
+	dispatched int64 // cells sent, summed over attempts (retries landing here too)
 	shed       int64 // 429 responses
 	failed     int64 // transport errors / 5xx responses
 }
@@ -162,6 +175,7 @@ func (c *Coordinator) AddNode(raw string) error {
 	c.nodes[nu] = &node{
 		url:     nu,
 		sem:     make(chan struct{}, c.opts.PerNodeInflight),
+		turn:    make(chan struct{}, 1),
 		healthy: true,
 	}
 	return nil
@@ -197,47 +211,82 @@ func (c *Coordinator) sortedURLsLocked() []string {
 	return server.SortedKeys(c.nodes)
 }
 
-// pick selects the dispatch target for a cell key: the highest-ranked
-// healthy, non-shedding node. primary reports whether that node is the
-// cell's rendezvous owner among healthy nodes (false means the dispatch is
-// a rebalance). When every healthy node is shedding, pick returns nil with
-// the wait until the earliest shed window reopens; when no node is
-// healthy, it returns nil with zero wait.
-func (c *Coordinator) pick(key string) (n *node, primary bool, wait time.Duration) {
+// job is what dispatch delivers: items, each with a placement key and a
+// class (a sweep cell's configuration). Items of one class placed on one
+// node travel to it as one request.
+type job struct {
+	path    string
+	keys    []string
+	classes []string
+	// body encodes the request for items, all of one class.
+	body func(items []int) ([]byte, error)
+	// accept checks a 200 answer for items and takes it; false makes the
+	// answer malformed, which counts against the node. nil accepts any.
+	accept func(items []int, data []byte) bool
+	// settle records items' terminal outcome: the answering node with its
+	// status and body, or the error dispatch gave up with.
+	settle func(items []int, node string, status int, data []byte, err error)
+}
+
+// batch is one request of a dispatch attempt: items of one class bound for
+// one node, in the order dispatch was given them.
+type batch struct {
+	node  *node
+	items []int
+}
+
+// place groups items into batches by dispatch target and class, at most
+// min(PerNodeInflight, maxBatchCells) items a batch. An item's target is
+// its highest-ranked healthy, non-shedding node; an item whose target is
+// not its rendezvous owner among the healthy nodes counts as a rebalance.
+// When every healthy node is shedding, place returns no batches and the
+// wait until the earliest shed window reopens; when no node is healthy,
+// no batches and zero wait.
+func (c *Coordinator) place(j *job, items []int) (batches []*batch, wait time.Duration) {
 	now := time.Now()
+	limit := min(c.opts.PerNodeInflight, maxBatchCells)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var healthy []string
 	for u, nd := range c.nodes {
-		if nd.healthy {
-			healthy = append(healthy, u)
-		}
-	}
-	if len(healthy) == 0 {
-		return nil, false, 0
-	}
-	ranked := Rank(key, healthy)
-	minWait := time.Duration(-1)
-	for i, u := range ranked {
-		nd := c.nodes[u]
-		if nd.shedUntil.After(now) {
-			if w := nd.shedUntil.Sub(now); minWait < 0 || w < minWait {
-				minWait = w
-			}
+		if !nd.healthy {
 			continue
 		}
-		return nd, i == 0, 0
+		healthy = append(healthy, u)
+		if w := nd.shedUntil.Sub(now); w > 0 && (wait == 0 || w < wait) {
+			wait = w
+		}
 	}
-	if minWait < 0 {
-		minWait = c.opts.ShedPenalty
+	for _, i := range items {
+		for r, u := range Rank(j.keys[i], healthy) {
+			nd := c.nodes[u]
+			if nd.shedUntil.After(now) {
+				continue
+			}
+			if r > 0 {
+				c.rebalances++
+			}
+			k := slices.IndexFunc(batches, func(b *batch) bool {
+				return b.node == nd && j.classes[b.items[0]] == j.classes[i] && len(b.items) < limit
+			})
+			if k < 0 {
+				k = len(batches)
+				batches = append(batches, &batch{node: nd})
+			}
+			batches[k].items = append(batches[k].items, i)
+			break
+		}
 	}
-	return nil, false, minWait
+	if len(batches) > 0 {
+		return batches, 0
+	}
+	return nil, wait
 }
 
-// count bumps one of the counters c.mu guards.
-func (c *Coordinator) count(n *int64) {
+// add bumps one of the counters c.mu guards by d.
+func (c *Coordinator) add(n *int64, d int) {
 	c.mu.Lock()
-	*n++
+	*n += int64(d)
 	c.mu.Unlock()
 }
 
@@ -303,23 +352,50 @@ func (c *Coordinator) backoff(ctx context.Context, attempt int) {
 	sleepCtx(ctx, d)
 }
 
-// post sends one JSON request to a node under its inflight cap and the
-// cell timeout, returning the status and (bounded) body.
-func (c *Coordinator) post(ctx context.Context, n *node, path string, body []byte) (int, http.Header, []byte, error) {
+// acquire takes k of n's inflight tokens, all or none.
+func (n *node) acquire(ctx context.Context, k int) error {
 	select {
-	case n.sem <- struct{}{}:
-		defer func() { <-n.sem }()
+	case n.turn <- struct{}{}:
+		defer func() { <-n.turn }()
 	case <-ctx.Done():
-		return 0, nil, nil, ctx.Err()
+		return ctx.Err()
 	}
-	rctx, cancel := context.WithTimeout(ctx, c.opts.CellTimeout)
+	for got := 0; got < k; got++ {
+		select {
+		case n.sem <- struct{}{}:
+		case <-ctx.Done():
+			n.release(got)
+			return ctx.Err()
+		}
+	}
+	return nil
+}
+
+func (n *node) release(k int) {
+	for ; k > 0; k-- {
+		<-n.sem
+	}
+}
+
+// post sends one JSON request carrying cells cells to a node once the node
+// has room for them under its inflight cap, with a deadline of CellTimeout
+// per cell, returning the status and (bounded) body. Counting the cap in
+// cells bounds a worker's backlog from this coordinator as if every
+// request carried one cell, so a batch's last cell waits no longer inside
+// the worker's per-request timeout than a lone cell could.
+func (c *Coordinator) post(ctx context.Context, n *node, path string, body []byte, cells int) (int, http.Header, []byte, error) {
+	if err := n.acquire(ctx, cells); err != nil {
+		return 0, nil, nil, err
+	}
+	defer n.release(cells)
+	rctx, cancel := context.WithTimeout(ctx, c.opts.CellTimeout*time.Duration(cells))
 	defer cancel()
 	req, err := http.NewRequestWithContext(rctx, http.MethodPost, n.url+path, bytes.NewReader(body))
 	if err != nil {
 		return 0, nil, nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	c.count(&n.dispatched)
+	c.add(&n.dispatched, cells)
 	resp, err := c.client.Do(req)
 	if err != nil {
 		return 0, nil, nil, err
@@ -343,7 +419,9 @@ func snippet(data []byte) string {
 
 // Sweep shards req's matrix across the pool and merges the cells back in
 // workload-major request order — the exact order and granularity a single
-// node produces (both sides expand through server.SweepRequest.Cells).
+// node produces (both sides expand through server.SweepRequest.Cells). The
+// cells one node owns under one configuration travel to it as one
+// rectangular sub-sweep, whose answers map back to the cells by position.
 // Cells on a node that dies mid-sweep re-dispatch to survivors; cells a
 // worker sheds (429) migrate without counting against that worker's
 // health. A cell that exhausts every node carries a cluster error in its
@@ -358,15 +436,51 @@ func (c *Coordinator) Sweep(ctx context.Context, req *server.SweepRequest) (*ser
 	}
 	t0 := time.Now()
 	out := make([]server.SweepCell, len(cells))
-	var wg sync.WaitGroup
-	for i := range cells {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			out[i] = c.runCell(ctx, req, cells[i])
-		}(i)
+	j := &job{
+		path:    "/v1/sweep",
+		keys:    make([]string, len(cells)),
+		classes: make([]string, len(cells)),
+		body: func(items []int) ([]byte, error) {
+			return json.Marshal(subSweep(req, cells, items))
+		},
+		accept: func(items []int, data []byte) bool {
+			var resp server.SweepResponse
+			if json.Unmarshal(data, &resp) != nil || len(resp.Cells) != len(items) {
+				return false
+			}
+			for k, i := range items {
+				if resp.Cells[k].Workload != cells[i].Name() || resp.Cells[k].Config != cells[i].Config {
+					return false
+				}
+			}
+			for k, i := range items {
+				out[i] = resp.Cells[k]
+			}
+			return true
+		},
+		settle: func(items []int, node string, status int, data []byte, err error) {
+			switch {
+			case err != nil:
+				c.add(&c.cellsFailed, len(items))
+			case status != http.StatusOK:
+				err = fmt.Errorf("node %s: status %d: %s", node, status, snippet(data))
+			default:
+				return // accept took the answer
+			}
+			for _, i := range items {
+				out[i] = server.SweepCell{
+					Workload: cells[i].Name(),
+					Config:   cells[i].Config,
+					Error:    fmt.Sprintf("cluster: %v", err),
+				}
+			}
+		},
 	}
-	wg.Wait()
+	items := make([]int, len(cells))
+	for i, cell := range cells {
+		j.keys[i], j.classes[i], items[i] = cell.ID(req.LoadStats), cell.Config, i
+	}
+	c.dispatch(ctx, j, items)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -378,98 +492,116 @@ func (c *Coordinator) Sweep(ctx context.Context, req *server.SweepRequest) (*ser
 	return &server.SweepResponse{Cells: out}, nil
 }
 
-// runCell dispatches one cell until a worker answers it.
-func (c *Coordinator) runCell(ctx context.Context, req *server.SweepRequest, cell server.Cell) server.SweepCell {
-	body, err := json.Marshal(req.CellRequest(cell))
-	if err != nil {
-		return failedCell(cell, err)
+// subSweep builds the sub-request for cells of one configuration: their
+// named workloads, then their specs, under that configuration, with the
+// sweep's execution knobs. items index cells in ascending order, and
+// SweepRequest.Cells lists every named workload before any spec, so a
+// worker expands the sub-request back to exactly these cells in this
+// order.
+func subSweep(req *server.SweepRequest, cells []server.Cell, items []int) server.SweepRequest {
+	sub := server.SweepRequest{
+		Configs:   []string{cells[items[0]].Config},
+		LoadStats: req.LoadStats,
+		SMJobs:    req.SMJobs,
+		Engine:    req.Engine,
+		Tolerance: req.Tolerance,
 	}
-	var answer server.SweepCell
-	node, status, data, err := c.dispatch(ctx, cell.ID(req.LoadStats), "/v1/sweep", body, func(data []byte) bool {
-		var resp server.SweepResponse
-		if json.Unmarshal(data, &resp) != nil || len(resp.Cells) != 1 {
-			return false
+	for _, i := range items {
+		if sp := cells[i].Spec; sp != nil {
+			sub.Specs = append(sub.Specs, sp)
+		} else {
+			sub.Workloads = append(sub.Workloads, cells[i].Workload)
 		}
-		answer = resp.Cells[0]
-		return true
-	})
+	}
+	return sub
+}
+
+// dispatch delivers j's items until each has a terminal answer. Every
+// attempt re-ranks the pool and regroups the items still pending, so node
+// death and shedding re-route them onto their current owners. A batch
+// whose request fails in transport, answers 5xx, or answers a 200 that
+// accept rejects counts against its node and retries after a backoff; a
+// 429 takes the node out of the rotation for its penalty window without
+// counting against it; any other status is terminal for every item of the
+// batch — a 4xx is deterministic, every node would reject the request the
+// same way. The attempt cap counts attempts per item.
+func (c *Coordinator) dispatch(ctx context.Context, j *job, items []int) {
+	c.deliver(ctx, j, items, 0, c.maxAttempts(), nil)
+}
+
+// deliver makes attempt number attempt (of max) for items, and through
+// retry every later one; lastErr is the last failure they met.
+func (c *Coordinator) deliver(ctx context.Context, j *job, items []int, attempt, max int, lastErr error) {
+	if err := ctx.Err(); err != nil {
+		j.settle(items, "", 0, nil, err)
+		return
+	}
+	if attempt >= max {
+		if lastErr == nil {
+			lastErr = fmt.Errorf("gave up after %d attempts", max)
+		}
+		j.settle(items, "", 0, nil, lastErr)
+		return
+	}
+	if attempt > 0 {
+		c.add(&c.retries, len(items))
+	}
+	batches, wait := c.place(j, items)
+	if len(batches) == 0 {
+		if wait == 0 {
+			j.settle(items, "", 0, nil, ErrNoNodes)
+			return
+		}
+		// Every live worker is shedding: hold until the earliest
+		// watermark window reopens, then re-rank.
+		sleepCtx(ctx, wait)
+		c.deliver(ctx, j, items, attempt+1, max, lastErr)
+		return
+	}
+	var wg sync.WaitGroup
+	for _, b := range batches[1:] {
+		wg.Add(1)
+		go func(b *batch) {
+			defer wg.Done()
+			c.send(ctx, j, b, attempt, max, lastErr)
+		}(b)
+	}
+	c.send(ctx, j, batches[0], attempt, max, lastErr)
+	wg.Wait()
+}
+
+// send posts one batch, classifies the node's answer and settles or
+// retries the batch's items by it.
+func (c *Coordinator) send(ctx context.Context, j *job, b *batch, attempt, max int, lastErr error) {
+	body, err := j.body(b.items)
+	if err != nil {
+		j.settle(b.items, "", 0, nil, err)
+		return
+	}
+	n := b.node
+	status, hdr, data, err := c.post(ctx, n, j.path, body, len(b.items))
 	switch {
 	case err != nil:
-		c.count(&c.cellsFailed)
-		return failedCell(cell, err)
-	case status != http.StatusOK:
-		return failedCell(cell, fmt.Errorf("node %s: status %d: %s", node, status, snippet(data)))
+		lastErr = fmt.Errorf("node %s: %w", n.url, err)
+		c.noteFailure(n, err)
+	case status == http.StatusTooManyRequests:
+		// Load shedding is the worker protecting itself, not failing.
+		c.noteShed(n, retryAfterHeader(hdr))
+		c.deliver(ctx, j, b.items, attempt+1, max, lastErr)
+		return
+	case status >= 500:
+		lastErr = fmt.Errorf("node %s: status %d: %s", n.url, status, snippet(data))
+		c.noteFailure(n, lastErr)
+	case status == http.StatusOK && j.accept != nil && !j.accept(b.items, data):
+		lastErr = fmt.Errorf("node %s: malformed response", n.url)
+		c.noteFailure(n, lastErr)
+	default:
+		c.noteOK(n)
+		j.settle(b.items, n.url, status, data, nil)
+		return
 	}
-	return answer
-}
-
-// dispatch posts body to path on the node that owns key until a worker
-// gives a terminal answer, which it returns with the node's URL. The pool
-// is re-ranked on every attempt, so node death and shedding re-route the
-// request: transport errors, 5xx and a 200 whose body is not wellFormed
-// count against the node and retry after a backoff; a 429 takes the node
-// out of the rotation for its penalty window without counting against it;
-// any other status is terminal — a 4xx is deterministic, every node would
-// reject the request the same way.
-func (c *Coordinator) dispatch(ctx context.Context, key, path string, body []byte, wellFormed func([]byte) bool) (node string, status int, data []byte, err error) {
-	max := c.maxAttempts()
-	var lastErr error
-	for attempt := 0; attempt < max; attempt++ {
-		if err := ctx.Err(); err != nil {
-			lastErr = err
-			break
-		}
-		if attempt > 0 {
-			c.count(&c.retries)
-		}
-		n, primary, wait := c.pick(key)
-		if n == nil {
-			if wait > 0 {
-				// Every live worker is shedding: hold until the earliest
-				// watermark window reopens, then re-rank.
-				sleepCtx(ctx, wait)
-				continue
-			}
-			lastErr = ErrNoNodes
-			break
-		}
-		if !primary {
-			c.count(&c.rebalances)
-		}
-		status, hdr, data, err := c.post(ctx, n, path, body)
-		failure := err
-		switch {
-		case err != nil:
-			lastErr = fmt.Errorf("node %s: %w", n.url, err)
-		case status == http.StatusTooManyRequests:
-			// Load shedding is the worker protecting itself, not failing.
-			c.noteShed(n, retryAfterHeader(hdr))
-			continue
-		case status >= 500:
-			lastErr = fmt.Errorf("node %s: status %d: %s", n.url, status, snippet(data))
-			failure = lastErr
-		case status == http.StatusOK && !wellFormed(data):
-			lastErr = fmt.Errorf("node %s: malformed cell response", n.url)
-			failure = lastErr
-		default:
-			c.noteOK(n)
-			return n.url, status, data, nil
-		}
-		c.noteFailure(n, failure)
-		c.backoff(ctx, attempt)
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("gave up after %d attempts", max)
-	}
-	return "", 0, nil, lastErr
-}
-
-func failedCell(cell server.Cell, err error) server.SweepCell {
-	return server.SweepCell{
-		Workload: cell.Name(),
-		Config:   cell.Config,
-		Error:    fmt.Sprintf("cluster: %v", err),
-	}
+	c.backoff(ctx, attempt)
+	c.deliver(ctx, j, b.items, attempt+1, max, lastErr)
 }
 
 func retryAfterHeader(h http.Header) time.Duration {
@@ -485,9 +617,9 @@ func retryAfterHeader(h http.Header) time.Duration {
 }
 
 // Simulate routes one /v1/simulate request to the node that owns its cell
-// and forwards the worker's response verbatim (status and body), with the
-// same retry/rebalance machinery as sweep cells. A request that fails
-// validation returns status 400 with its error, before any node is asked.
+// and forwards the worker's response verbatim (status and body), through
+// the same dispatch as sweep cells. A request that fails validation returns
+// status 400 with its error, before any node is asked.
 func (c *Coordinator) Simulate(ctx context.Context, req *server.SimulateRequest) (int, []byte, error) {
 	key, err := req.CellID()
 	if err != nil {
@@ -500,7 +632,17 @@ func (c *Coordinator) Simulate(ctx context.Context, req *server.SimulateRequest)
 	if len(c.liveNodes()) == 0 {
 		return 0, nil, ErrNoNodes
 	}
-	_, status, data, err := c.dispatch(ctx, key, "/v1/simulate", body, func([]byte) bool { return true })
+	var status int
+	var data []byte
+	c.dispatch(ctx, &job{
+		path:    "/v1/simulate",
+		keys:    []string{key},
+		classes: []string{""},
+		body:    func([]int) ([]byte, error) { return body, nil },
+		settle: func(_ []int, _ string, s int, d []byte, e error) {
+			status, data, err = s, d, e
+		},
+	}, []int{0})
 	return status, data, err
 }
 
@@ -517,7 +659,8 @@ func (c *Coordinator) liveNodes() []string {
 	return out
 }
 
-// probeURL probes one base URL's /healthz and returns its health document.
+// probeURL probes one base URL's /healthz and returns its health document;
+// a document returned with an error is a node that answered not ready.
 func (c *Coordinator) probeURL(ctx context.Context, nu string) (*server.HealthResponse, error) {
 	rctx, cancel := context.WithTimeout(ctx, c.opts.ProbeTimeout)
 	defer cancel()
@@ -545,8 +688,12 @@ func (c *Coordinator) probeURL(ctx context.Context, nu string) (*server.HealthRe
 }
 
 // ProbeAll probes every node's readiness concurrently, updating health and
-// queue depth. A dead node that answers ready again is revived and resumes
-// owning its rendezvous share (warm store state makes the handback cheap).
+// queue depth. A node that answers not ready (draining) leaves the rotation
+// at once; one that does not answer counts a failure toward FailThreshold,
+// as a failed dispatch does, so a coordinator started before its workers
+// does not drop them for not listening yet. A dead node that answers ready
+// again is revived and resumes owning its rendezvous share (warm store
+// state makes the handback cheap).
 func (c *Coordinator) ProbeAll(ctx context.Context) {
 	c.mu.Lock()
 	urls := c.sortedURLsLocked()
@@ -564,8 +711,11 @@ func (c *Coordinator) ProbeAll(ctx context.Context) {
 				return
 			}
 			if err != nil {
-				n.healthy = false
 				n.lastErr = err.Error()
+				n.consecFails++
+				if h != nil || n.consecFails >= c.opts.FailThreshold {
+					n.healthy = false
+				}
 				return
 			}
 			n.healthy = true

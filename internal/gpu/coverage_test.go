@@ -57,3 +57,39 @@ func TestEpochCoverageFloors(t *testing.T) {
 		})
 	}
 }
+
+// TestEpochCoverageExact pins Coverage's denominator: with cycle skipping
+// off, no cycle is jumped and every cycle the loop executes — 0 through
+// Cycles — lies inside an epoch on these small runs, so coverage is exactly
+// 1, not (Cycles+1)/Cycles.
+func TestEpochCoverageExact(t *testing.T) {
+	atLeastProcs(t, 2)
+	cfg := config.Baseline().WithScheduler(config.SchedGTO)
+	cfg.NumSMs = 2
+	for _, app := range []string{"BFS", "KM", "SP", "NW"} {
+		w, ok := workloads.ByName(app)
+		if !ok {
+			t.Fatalf("unknown workload %s", app)
+		}
+		res, err := Simulate(cfg, w.Kernel.Scaled(0.05), WithParallelSMs(2), WithoutCycleSkipping())
+		if err != nil {
+			t.Fatal(err)
+		}
+		es := res.EngineStats
+		if cov := es.Coverage(res.Cycles); cov != 1 {
+			t.Errorf("%s: coverage %v (%d epoch cycles, %d cycles, %d skipped), want exactly 1",
+				app, cov, es.EpochCycles, res.Cycles, es.SkippedCycles)
+		}
+	}
+}
+
+// requireCoverageAtMostOne fails a parallel run whose epochs cover more
+// cycles than the run executed.
+func requireCoverageAtMostOne(t *testing.T, label string, res Result) {
+	t.Helper()
+	es := res.EngineStats
+	if cov := es.Coverage(res.Cycles); cov > 1 {
+		t.Fatalf("%s: coverage %v > 1 (%d epoch cycles, %d cycles, %d skipped)",
+			label, cov, es.EpochCycles, res.Cycles, es.SkippedCycles)
+	}
+}

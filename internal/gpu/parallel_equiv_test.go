@@ -51,6 +51,7 @@ func TestParallelEquivalence(t *testing.T) {
 			parTr := runEquivCell(t, c, true, WithParallelSMs(n))
 			requireSameRun(t, fmt.Sprintf("par%d+trace", n), serialTr, parTr)
 			requireSameRegime(t, fmt.Sprintf("par%d", n), par.Res.EngineStats, parTr.Res.EngineStats)
+			requireCoverageAtMostOne(t, fmt.Sprintf("par%d", n), par.Res)
 		}
 	})
 }
@@ -118,6 +119,7 @@ func TestParallelNoSkipEquivalence(t *testing.T) {
 		for _, n := range []int{2, 4} {
 			par := runEquivCell(t, c, false, WithParallelSMs(n), WithoutCycleSkipping())
 			requireSameRun(t, fmt.Sprintf("par%d+noskip", n), serial, par)
+			requireCoverageAtMostOne(t, fmt.Sprintf("par%d+noskip", n), par.Res)
 		}
 	})
 }

@@ -542,24 +542,6 @@ func (req *SweepRequest) Cells() ([]Cell, error) {
 	return cells, nil
 }
 
-// CellRequest builds the single-cell sub-request a coordinator dispatches
-// to a worker for c, inheriting the sweep-wide execution knobs.
-func (req *SweepRequest) CellRequest(c Cell) SweepRequest {
-	sub := SweepRequest{
-		Configs:   []string{c.Config},
-		LoadStats: req.LoadStats,
-		SMJobs:    req.SMJobs,
-		Engine:    req.Engine,
-		Tolerance: req.Tolerance,
-	}
-	if c.Spec != nil {
-		sub.Specs = []*workspec.Spec{c.Spec}
-	} else {
-		sub.Workloads = []string{c.Workload}
-	}
-	return sub
-}
-
 // CellID validates a simulate request as a worker would and returns its
 // placement key, consistent with Cell.ID. The cluster coordinator uses it
 // to route proxied /v1/simulate requests to the same node the equivalent

@@ -230,11 +230,14 @@ type EngineStats struct {
 	DrainNS       int64 `json:"-"`
 }
 
-// Coverage returns the fraction of the run's executed cycles — totalCycles
-// less the idle stretches skipped between epochs — that ran inside parallel
-// epochs; the rest ran as serial steps.
+// Coverage returns the fraction of the run's executed cycles that ran
+// inside parallel epochs; the rest ran as serial steps. The run loop
+// executes cycles 0 through totalCycles, the last being the one it ends on,
+// less the idle stretches skipped between epochs. (A run stopped by
+// MaxCycles never executes its last cycle, so its coverage reads one cycle
+// low.)
 func (e *EngineStats) Coverage(totalCycles int64) float64 {
-	executed := totalCycles - e.SkippedCycles
+	executed := totalCycles + 1 - e.SkippedCycles
 	if executed <= 0 {
 		return 0
 	}
